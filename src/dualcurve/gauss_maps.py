@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from . import _backend
 from .body_core import GeometryError, HPolytope, SmoothBody, as_direction, unit
 from .quadrature import (sphere_area, spherical_polygon_rule,
                          spherical_triangle_excess)
@@ -73,6 +72,29 @@ class ConeCell:
         }
 
 
+def radial_batch(normals, offsets, dirs, tie_tol=TIE_TOL):
+    """Radial function of {x : x.v_i <= h_i} on a batch of unit directions.
+
+    Returns (rho, idx, tie): the min of h_i/(u.v_i) over i with u.v_i > 0,
+    the argmin facet, and whether a second facet ties within relative
+    tie_tol (the direction then lies on a cone boundary).
+    """
+    normals = np.asarray(normals, float)
+    offsets = np.asarray(offsets, float)
+    dirs = np.atleast_2d(np.asarray(dirs, float))
+    dots = dirs @ normals.T  # (N, m)
+    with np.errstate(divide="ignore", over="ignore"):
+        cand = np.where(dots > 0.0, offsets / dots, np.inf)
+    rows = np.arange(len(dirs))
+    idx = np.argmin(cand, axis=1)
+    rho = cand[rows, idx]
+    # second-smallest candidate for the tie test
+    cand[rows, idx] = np.inf
+    second = cand.min(axis=1)
+    tie = (second - rho) <= tie_tol * rho
+    return rho, idx, tie
+
+
 def radial_gauss(P, u, tie_tol=TIE_TOL):
     """Outer unit normal at the boundary point rho(u) u, or None on a tie.
 
@@ -85,7 +107,7 @@ def radial_gauss(P, u, tie_tol=TIE_TOL):
 
 def radial_gauss_index(P, u, tie_tol=TIE_TOL):
     u = as_direction(u)
-    rho, idx, tie = _backend.radial_batch(P.normals, P.offsets, u[None, :], tie_tol)
+    rho, idx, tie = radial_batch(P.normals, P.offsets, u[None, :], tie_tol)
     if bool(tie[0]):
         return None
     return int(idx[0])
@@ -93,7 +115,7 @@ def radial_gauss_index(P, u, tie_tol=TIE_TOL):
 
 def radial_gauss_batch(P, dirs, tie_tol=TIE_TOL):
     """Vectorized radial_gauss: returns (rho, facet index, tie flag) arrays."""
-    return _backend.radial_batch(P.normals, P.offsets, dirs, tie_tol)
+    return radial_batch(P.normals, P.offsets, dirs, tie_tol)
 
 
 def cone_partition(P):
@@ -142,7 +164,7 @@ def cell_solid_angles_mc(P, level=16, seed=0):
     m = 2**level
     dirs = rng.normal(size=(m, P.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    _, idx, _ = _backend.radial_batch(P.normals, P.offsets, dirs, TIE_TOL)
+    _, idx, _ = radial_batch(P.normals, P.offsets, dirs, TIE_TOL)
     out = np.zeros(len(P.normals))
     np.add.at(out, idx, sphere_area(P.dim) / m)
     return out

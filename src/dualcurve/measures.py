@@ -5,23 +5,25 @@ surface area and its L_p family, dual quermassintegrals with their
 normalized dual volumes, the dual Steiner polynomial, the smooth-body
 density, and the valuation identity check.
 
-Polytope atoms for q != 0 are computed on facets, where the integrand is
-|x|^(q-n) against facet Lebesgue measure; the sphere-side cone integrals
-serve as the independent cross-check path.  The q = 0 atoms are closed-form
-solid angles.
+Polytope atoms for q != 0 come from one semi-analytic evaluator, _atoms,
+which every caller shares: in 3-d the facet integral of |x|^(q-3) has its
+radial direction integrated in closed form, leaving Gauss panels over the
+wedge angle of each facet edge; in 2-d the arc integral of sec^q becomes
+an analytic integrand under w = asinh(tan theta).  Both reach about 1e-14
+with no tuning knobs.  The sphere-side cone integrals behind
+dual_quermassintegral serve as the independent cross-check path.  The
+q = 0 atoms are closed-form solid angles.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _backend, _threads
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
                         VPolytope, _any_orthonormal, _cross3, as_direction)
-from .gauss_maps import ConeCell, cone_partition
+from .gauss_maps import ConeCell, cone_partition, radial_batch
 from .quadrature import (arc_rule, sphere_rule, spherical_polygon_rule,
-                         triangles_to_quadrature, unit_ball_volume)
+                         unit_ball_volume)
 
 DEFAULT_DEGREE = 10
 DEFAULT_SUBDIV = 3
@@ -140,64 +142,36 @@ def measure_l1(mu_a, mu_b, tol=1e-9):
 # -- polytope paths --------------------------------------------------------
 
 
-def _facet_fan_quadrature(P, degree, subdiv):
-    """Stacked facet quadrature points for all active facets of a 3-polytope.
+def _arcs_2d(P):
+    """The circle cut at the vertex rays, each arc with its edge (n=2).
 
-    Returns (points, weights, facet_ids); weights carry facet H^2 measure.
+    Returns (ids, lo, hi): the edge the radial Gauss map sends the arc's
+    midpoint to, and the arc's ends as signed angles about that edge's
+    normal.  The arcs tile the circle whatever the incidence slack says, so
+    an edge shorter than that slack is neither lost nor counted again on
+    its neighbours.
     """
-    tris = []
-    owner = []
-    for i in np.flatnonzero(P.active):
-        verts = P.facet_vertices(i)
-        for j in range(1, len(verts) - 1):
-            tris.append([verts[0], verts[j], verts[j + 1]])
-            owner.append(i)
-    if not tris:
-        raise GeometryError("no active facets")
-    pts, wts, tri_idx = triangles_to_quadrature(np.array(tris), degree, subdiv)
-    return pts, wts, np.asarray(owner, dtype=np.int64)[tri_idx]
+    x = P.vertices
+    phi = np.sort(np.arctan2(x[:, 1], x[:, 0]))
+    ends = np.stack([phi, np.roll(phi, -1)], axis=1)
+    ends[-1, 1] += 2.0 * math.pi
+    mid = ends.mean(axis=1)
+    _, ids, _ = radial_batch(P.normals, P.offsets, np.column_stack([np.cos(mid), np.sin(mid)]))
+    th = ends - np.arctan2(P.normals[ids, 1], P.normals[ids, 0])[:, None]
+    th = (th + math.pi) % (2.0 * math.pi) - math.pi
+    return ids, th[:, 0], th[:, 1]
 
 
-def _edge_angles(P, i):
-    """Signed angular span [lo, hi] of edge i's cone about its normal (n=2)."""
-    verts = P.facet_vertices(i)
-    v = P.normals[i]
-    ang = []
-    for r in verts:
-        ru = r / np.linalg.norm(r)
-        ang.append(math.atan2(v[0] * ru[1] - v[1] * ru[0], float(v @ ru)))
-    return min(ang), max(ang)
+def _sec_arc_rule(lo, hi, npts):
+    """Gauss nodes/weights in theta on [lo, hi] inside (-pi/2, pi/2), placed
+    for integrands like sec(theta)**q.
 
-
-def _atoms_2d(P, q, npts=64):
-    """Arc-path atoms: (1/2) h_i^q * integral of sec^q over the edge's arc."""
-    atoms = np.zeros(len(P.normals))
-    act = P.active
-    for i in range(len(P.normals)):
-        if not act[i]:
-            continue
-        lo, hi = _edge_angles(P, i)
-        th, w = arc_rule(lo, hi, npts)
-        atoms[i] = 0.5 * P.offsets[i] ** q * float(w @ np.cos(th) ** (-q))
-    return atoms
-
-
-def _atoms_3d(P, q, degree, subdiv):
-    """Facet-path atoms: (h_i/3) * integral of |x|^(q-3) over the facet."""
-    pts, wts, ids = _facet_fan_quadrature(P, degree, subdiv)
-    m = len(P.normals)
-    workers = _threads.worker_count()
-    if workers > 1 and len(pts) > 4096:
-        chunks = np.array_split(np.arange(len(pts)), workers)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = ex.map(
-                lambda sel: _backend.facet_power_sums(pts[sel], wts[sel], ids[sel], m, q - 3.0),
-                chunks,
-            )
-        sums = np.sum(list(parts), axis=0)
-    else:
-        sums = _backend.facet_power_sums(pts, wts, ids, m, q - 3.0)
-    return P.offsets * sums / 3.0
+    The nodes sit in w = asinh(tan theta) with weights dw / cosh(w), so
+    sec^q(theta) d(theta) = cosh^(q-1)(w) dw is analytic in the rule's
+    variable; arcs reaching towards +-pi/2 (thin bodies) keep full accuracy.
+    """
+    w, dw = arc_rule(math.asinh(math.tan(lo)), math.asinh(math.tan(hi)), npts)
+    return np.arctan(np.sinh(w)), dw / np.cosh(w)
 
 
 _GL_CACHE = {}
@@ -217,8 +191,7 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     (h_i^2 + r^2); integrating r out leaves a 1-d integral over the wedge
     angle phi of each polygon edge.  Substituting w = asinh(tan phi) makes
     the integrand analytic with poles pi/2 off the real axis, so a few
-    Gauss panels reach near machine accuracy even for skinny wedges.  Far
-    more accurate than the 2-d fan rule, and cheap enough for solver loops.
+    Gauss panels reach near machine accuracy even for skinny wedges.
     """
     gl_x, gl_w = _gauss_nodes(n_nodes)
     h = P.offsets
@@ -278,56 +251,63 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     if q == 1.0:
         inner = 0.5 * np.log1p(r2 / h2)
     else:
-        inner = ((h2 + r2) ** (0.5 * (q - 1.0)) - h2 ** (0.5 * (q - 1.0))) / (q - 1.0)
+        # ((h2 + r2)^a - h2^a) / (q - 1) with a = (q - 1)/2, written so it
+        # does not cancel as q -> 1
+        a = 0.5 * (q - 1.0)
+        inner = h2**a * np.expm1(a * np.log1p(r2 / h2)) / (q - 1.0)
     vals = (wts * inner * np.cosh(nodes) / s2).sum(axis=1)
     np.add.at(atoms, fid, hh * vals / 3.0)
     return atoms
 
 
 def _atoms_2d_arc(P, q, n_nodes=16, n_panels=4):
-    """Edge-path atoms in the plane, one Gauss sweep over all edges.
+    """Edge-path atoms in the plane, one Gauss sweep over all arcs.
 
     The arc integral (h^q/2) int sec^q(theta) d(theta) over the wedge of
     edge i becomes (h^q/2) int cosh(w)^(q-1) dw under w = asinh(tan theta),
     which is analytic and panel-friendly; exact for q in {1, 2}.
     """
     gl_x, gl_w = _gauss_nodes(n_nodes)
-    h = P.offsets
-    atoms = np.zeros(len(P.normals))
-    incidence = P._incidence()
-    rows = [i for i in range(len(P.normals)) if len(incidence[i]) == 2]
-    if not rows:
-        return atoms
-    rows = np.asarray(rows)
-    v = P.normals[rows]
-    t = np.stack([-v[:, 1], v[:, 0]], axis=1)
-    ends = np.stack([P.vertices[incidence[i]] for i in rows])  # (k, 2, 2)
-    s = np.einsum("kej,kj->ke", ends, t) / h[rows, None]  # tan(theta) at ends
-    w = np.arcsinh(s)
-    lo, hi = w.min(axis=1), w.max(axis=1)
+    ids, lo, hi = _arcs_2d(P)
+    lo, hi = np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi))
     offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
     nodes = lo[:, None] + (hi - lo)[:, None] * offs[None, :]
     wts = (hi - lo)[:, None] * np.tile(gl_w, n_panels)[None, :] / (2.0 * n_panels)
     vals = (wts * np.cosh(nodes) ** (q - 1.0)).sum(axis=1)
-    atoms[rows] = 0.5 * h[rows] ** q * vals
+    atoms = np.zeros(len(P.normals))
+    np.add.at(atoms, ids, 0.5 * P.offsets[ids] ** q * vals)
     return atoms
 
 
 def _atoms_mc(P, q, level, seed=0):
     """Monte Carlo cone atoms for n >= 4 (reduced accuracy mode)."""
     rule = sphere_rule(P.dim, level, seed=seed)
-    rho, idx, _ = _backend.radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
+    rho, idx, _ = radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
     vals = rule.weights * rho**q / P.dim
     out = np.zeros(len(P.normals))
     np.add.at(out, idx, vals)
     return out
 
 
+def _atoms(P, q):
+    """Index-q atoms of an H-polytope, one per halfspace (0 if inactive).
+
+    The one atom evaluator behind dual_curvature, the solver and the
+    variational checks: wherever atoms are paired with a dual
+    quermassintegral, that total comes from the same evaluator.
+    """
+    if P.dim == 2:
+        return _atoms_2d_arc(P, q)
+    if P.dim == 3:
+        return _atoms_3d_radial(P, q)
+    return _atoms_mc(P, q, MC_LEVEL)
+
+
 def _solid_angles(P):
     if P.dim in (2, 3):
         return np.array([c.solid_angle() if not c.empty else 0.0 for c in cone_partition(P)])
     rule = sphere_rule(P.dim, MC_LEVEL)
-    _, idx, _ = _backend.radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
+    _, idx, _ = radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
     out = np.zeros(len(P.normals))
     np.add.at(out, idx, rule.weights)
     return out
@@ -355,7 +335,7 @@ def _symmetrize(dirs, atoms, tol=1e-9):
     return out
 
 
-def dual_curvature(P, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV):
+def dual_curvature(P, q):
     """Dual curvature measure of index q: one atom per facet normal.
 
     The atom of facet i is (1/n) * integral of rho^q over the facet's
@@ -365,12 +345,7 @@ def dual_curvature(P, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV):
     P = _require_hpolytope(P)
     if q == 0:
         return dual_curvature_q0(P)
-    if P.dim == 2:
-        atoms = _atoms_2d(P, q)
-    elif P.dim == 3:
-        atoms = _atoms_3d(P, q, degree, subdiv)
-    else:
-        atoms = _atoms_mc(P, q, MC_LEVEL)
+    atoms = _atoms(P, q)
     if P.symmetric:
         atoms = _symmetrize(P.normals, atoms)
     return DiscreteSphericalMeasure(P.normals, atoms, even=P.symmetric or None)
@@ -413,40 +388,26 @@ def lp_surface_area_measure(P, p):
 
 
 def _cone_nodes(P, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, npts=64):
-    """Spherical nodes/weights over all active cone cells with rho values.
+    """Spherical weights and rho values, yielded one cone cell at a time.
 
     The independent sphere-side path: for n=3 fan-transport rules on each
-    cell, for n=2 Gauss panels on each arc.  Returns (u, w, rho, cell_id).
+    cell, for n=2 Gauss panels in asinh(tan theta) on each arc.  Callers sum
+    cell by cell, so memory is bounded by the largest cell's rule.
     """
-    P = _require_hpolytope(P)
-    us, ws, rhos, ids = [], [], [], []
-    act = P.active
     if P.dim == 2:
-        for i in np.flatnonzero(act):
-            lo, hi = _edge_angles(P, i)
-            th, w = arc_rule(lo, hi, npts)
-            v = P.normals[i]
-            ct, st = np.cos(th), np.sin(th)
-            u = np.column_stack([v[0] * ct - v[1] * st, v[1] * ct + v[0] * st])
-            us.append(u)
-            ws.append(w)
-            rhos.append(P.offsets[i] / ct)
-            ids.append(np.full(len(w), i))
+        for i, lo, hi in zip(*_arcs_2d(P)):
+            th, w = _sec_arc_rule(lo, hi, npts)
+            yield w, P.offsets[i] / np.cos(th)
     elif P.dim == 3:
-        for i in np.flatnonzero(act):
+        for i in np.flatnonzero(P.active):
             verts = P.facet_vertices(i)
             rays = verts / np.linalg.norm(verts, axis=1)[:, None]
             rule = spherical_polygon_rule(rays, degree=degree, subdiv=subdiv)
-            us.append(rule.nodes)
-            ws.append(rule.weights)
-            rhos.append(P.offsets[i] / (rule.nodes @ P.normals[i]))
-            ids.append(np.full(len(rule.weights), i))
+            yield rule.weights, P.offsets[i] / (rule.nodes @ P.normals[i])
     else:
         rule = sphere_rule(P.dim, MC_LEVEL)
-        rho, idx, _ = _backend.radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
-        return rule.nodes, rule.weights, rho, idx
-    return (np.vstack(us), np.concatenate(ws), np.concatenate(rhos),
-            np.concatenate(ids).astype(np.int64))
+        rho, _, _ = radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
+        yield rule.weights, rho
 
 
 def _rho_batch(body, dirs):
@@ -481,19 +442,19 @@ def dual_quermassintegral(K, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, le
         if level is None:
             level = SMOOTH_LEVELS.get(K.dim, 14)
         rule = sphere_rule(K.dim, level)
-        rho = _rho_batch(K, rule.nodes)
-        w = rule.weights
+        cells = [(rule.weights, _rho_batch(K, rule.nodes))]
         n = K.dim
     else:
         P = _require_hpolytope(K)
-        _, w, rho, _ = _cone_nodes(P, degree, subdiv)
+        cells = _cone_nodes(P, degree, subdiv)
         n = P.dim
     omega = unit_ball_volume(n)
     if q == 0:
-        value = float(w.sum()) / n
-        normalized = math.exp(float(w @ np.log(rho)) / (n * omega))
+        sums = np.sum([(w.sum(), w @ np.log(rho)) for w, rho in cells], axis=0)
+        value = float(sums[0]) / n
+        normalized = math.exp(float(sums[1]) / (n * omega))
     else:
-        value = float(w @ rho**q) / n
+        value = sum(float(w @ rho**q) for w, rho in cells) / n
         normalized = (value / omega) ** (1.0 / q)
     return DualQuermassResult(q, value, normalized)
 
@@ -519,8 +480,7 @@ def dual_area(K, q, region=None, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, n
             v = cell.normal
             lo = math.atan2(v[0] * a[1] - v[1] * a[0], float(v @ a))
             hi = math.atan2(v[0] * b[1] - v[1] * b[0], float(v @ b))
-            lo, hi = min(lo, hi), max(lo, hi)
-            th, w = arc_rule(lo, hi, npts)
+            th, w = _sec_arc_rule(min(lo, hi), max(lo, hi), npts)
             total += 0.5 * cell.offset**q * float(w @ np.cos(th) ** (-q))
         elif n == 3:
             rule = spherical_polygon_rule(cell.apex_rays, degree=degree, subdiv=subdiv)
@@ -542,16 +502,15 @@ def dual_steiner_check(K, t_samples, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDI
     t_samples = np.asarray(t_samples, float)
     if isinstance(K, SmoothBody):
         rule = sphere_rule(K.dim, SMOOTH_LEVELS.get(K.dim, 14))
-        u, w = rule.nodes, rule.weights
-        rho = _rho_batch(K, u)
+        cells = [(rule.weights, _rho_batch(K, rule.nodes))]
         n = K.dim
     else:
         P = _require_hpolytope(K)
-        _, w, rho, _ = _cone_nodes(P, degree, subdiv)
+        cells = _cone_nodes(P, degree, subdiv)
         n = P.dim
     if len(t_samples) < n + 1:
         raise GeometryError("need at least n+1 sample values of t")
-    vols = np.array([float(w @ (rho + t) ** n) / n for t in t_samples])
+    vols = np.sum([[float(w @ (rho + t) ** n) for t in t_samples] for w, rho in cells], axis=0) / n
     design = np.array([[math.comb(n, i) * t ** (n - i) for i in range(n + 1)] for t in t_samples])
     coef, *_ = np.linalg.lstsq(design, vols, rcond=None)
     return coef
@@ -600,7 +559,7 @@ def hull_of_union(K, L):
     return VPolytope(np.vstack([K.vertices, L.vertices]), validate=False).to_hpolytope()
 
 
-def valuation_check(K, L, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, tol=1e-9):
+def valuation_check(K, L, q, tol=1e-9):
     """Max atom discrepancy in the inclusion-exclusion identity for index q.
 
     Requires the union to be convex, verified by the volume identity
@@ -615,11 +574,8 @@ def valuation_check(K, L, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, tol=1
     if abs(v_lhs - v_rhs) > 1e-9 * max(1.0, v_lhs):
         raise GeometryError("union is not convex")
 
-    def atoms(P):
-        return dual_curvature(P, q, degree=degree, subdiv=subdiv)
-
-    mk, ml = atoms(K), atoms(L)
-    mi, mh = atoms(inter), atoms(hull)
+    mk, ml = dual_curvature(K, q), dual_curvature(L, q)
+    mi, mh = dual_curvature(inter, q), dual_curvature(hull, q)
     dirs = [d for d in mk.dirs]
     for m in (ml, mi, mh):
         for d in m.dirs:

@@ -18,9 +18,7 @@ import math
 import numpy as np
 
 from .body_core import GeometryError, HPolytope, SmoothBody, wulff_shape
-from .measures import (DiscreteSphericalMeasure, _atoms_2d_arc,
-                       _atoms_3d_radial, dual_curvature,
-                       dual_quermassintegral, measure_l1)
+from .measures import DiscreteSphericalMeasure, _atoms, dual_quermassintegral
 from .quadrature import unit_ball_volume
 
 
@@ -62,8 +60,7 @@ class SolverConfig:
     residual at the optimum), iteration cap, and backtracking parameters."""
 
     def __init__(self, q, tol=1e-6, max_iter=10000, step_init=1.0,
-                 step_shrink=0.5, armijo=1e-4, h0=None,
-                 degree=8, subdiv=1):
+                 step_shrink=0.5, armijo=1e-4, h0=None):
         if tol <= 0:
             raise GeometryError("tol must be positive")
         if q <= 0:
@@ -75,8 +72,6 @@ class SolverConfig:
         self.step_shrink = float(step_shrink)
         self.armijo = float(armijo)
         self.h0 = None if h0 is None else np.asarray(h0, float)
-        self.degree = int(degree)
-        self.subdiv = int(subdiv)
 
 
 class SolverReport:
@@ -173,7 +168,7 @@ def phi_mu(K, mu, q):
     return float(-(mu.weights @ np.log(hs)) / total + math.log(vbar))
 
 
-def phi_gradient(K, mu, q, degree=8, subdiv=1):
+def phi_gradient(K, mu, q):
     """Exact gradient of phi in the log offsets, one component per atom
     direction: c_i / W - gamma_i / |mu| with W the sum of the atoms.
 
@@ -181,7 +176,7 @@ def phi_gradient(K, mu, q, degree=8, subdiv=1):
     offsets back inward.
     """
     K = _as_wulff_on(K, mu)
-    atoms = _atoms_on_dirs(K, q, degree, subdiv)
+    atoms = _atoms(K, q)
     w_total = float(atoms.sum())
     return atoms / w_total - mu.weights / mu.total
 
@@ -194,17 +189,6 @@ def _as_wulff_on(K, mu, tol=1e-9):
             return K
     hs = np.array([K.support(v) for v in mu.dirs])
     return wulff_shape(mu.dirs, hs)
-
-
-def _atoms_on_dirs(K, q, degree, subdiv):
-    # near-exact evaluators; they keep the atom/objective pair consistent so
-    # the gradient residual can actually reach the tolerance
-    if K.dim == 3:
-        return _atoms_3d_radial(K, q)
-    if K.dim == 2:
-        return _atoms_2d_arc(K, q)
-    meas = dual_curvature(K, q, degree=degree, subdiv=subdiv)
-    return meas.weights.copy()
 
 
 def solve_dual_minkowski(mu, cfg):
@@ -239,9 +223,6 @@ def solve_dual_minkowski(mu, cfg):
     if cfg.h0 is not None:
         base = base.with_offsets(np.asarray(cfg.h0, float))
 
-    def atoms_of(body):
-        return _atoms_on_dirs(body, q, cfg.degree, cfg.subdiv)
-
     def phi_from_atoms(x_full, atoms):
         w = float(atoms.sum())
         if not (w > 0 and math.isfinite(w)):
@@ -250,7 +231,7 @@ def solve_dual_minkowski(mu, cfg):
 
     x = np.log(base.offsets)
     body = base.with_offsets(np.exp(x))
-    atoms = atoms_of(body)
+    atoms = _atoms(body, q)
     phi = phi_from_atoms(x, atoms)
     phi_trace = [phi]
     residual_trace = []
@@ -283,7 +264,7 @@ def solve_dual_minkowski(mu, cfg):
         while step > 1e-18:
             x_new = x + step * d
             body_new = base.with_offsets(np.exp(x_new))
-            atoms_new = atoms_of(body_new)
+            atoms_new = _atoms(body_new, q)
             phi_new = phi_from_atoms(x_new, atoms_new)
             if phi_new >= phi + cfg.armijo * step * slope:
                 accepted = True
@@ -303,7 +284,7 @@ def solve_dual_minkowski(mu, cfg):
     # rescale so the measure totals match: the atoms scale with degree q
     lam = (total / float(atoms.sum())) ** (1.0 / q)
     final = body.with_offsets(body.offsets * lam)
-    final_atoms = atoms_of(final)
+    final_atoms = _atoms(final, q)
     residual = float(np.abs(final_atoms - gamma).sum()) / total
     return SolverReport(final, residual, phi_trace, it, True, converged,
                         message=message, residual_trace=residual_trace,

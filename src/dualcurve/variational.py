@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from .body_core import GeometryError, HPolytope
-from .measures import (_atoms_3d_radial, dual_curvature, dual_curvature_q0,
-                       dual_quermassintegral)
+from .measures import _atoms, dual_curvature_q0, dual_quermassintegral
 from .quadrature import unit_ball_volume
 
 
@@ -62,30 +61,22 @@ def _rel_err(approx, exact):
     return abs(approx - exact) / scale
 
 
-def _measure_atoms(K, q, degree, subdiv):
-    # the 3d radial evaluator is near exact, so both the difference quotient
-    # and the pairing see the same functional; mixing two quadratures leaves
-    # a t-independent bias in the quotient
-    if K.dim == 3:
-        return _atoms_3d_radial(K, q)
-    return dual_curvature(K, q, degree=degree, subdiv=subdiv).weights
-
-
-def check_dual_variation(K, f, q, t_step=1e-4, degree=10, subdiv=3):
+def check_dual_variation(K, f, q, t_step=1e-4):
     """Central difference of the q-th dual quermassintegral along a log family
     against q times the pairing of f with the dual curvature atoms.
 
     Returns the relative error of the difference quotient.  The total of the
     atoms is used as the quermassintegral on both sides (they agree by the
-    total-measure identity, which is tested separately).
+    total-measure identity, which is tested separately), so the quotient and
+    the pairing see the same functional and no quadrature bias enters.
     """
     if q == 0:
         raise GeometryError("use check_q0_variation for q = 0")
     fam = LogFamily(K, f)
     t = _shrink_step(K, fam, t_step)
-    wq = lambda body: float(_measure_atoms(body, q, degree, subdiv).sum())
+    wq = lambda body: float(_atoms(body, q).sum())
     fd = (wq(fam.body_at(t)) - wq(fam.body_at(-t))) / (2 * t)
-    atoms = _measure_atoms(K, q, degree, subdiv)
+    atoms = _atoms(K, q)
     exact = q * float(np.asarray(f, float) @ atoms)
     return _rel_err(fd, exact)
 

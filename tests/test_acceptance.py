@@ -178,9 +178,7 @@ def test_criterion_8_solver_round_trip():
                 assert rep.converged, (n, q, rep.message)
                 tr = np.array(rep.phi_trace)
                 assert (np.diff(tr) >= -1e-12).all(), (n, q)
-                # recompute with a finer fan rule: near-boundary data can
-                # give elongated bodies where the default rule is loose
-                got = dual_curvature(rep.body, q, degree=12, subdiv=4)
+                got = dual_curvature(rep.body, q)
                 worst = max(worst, measure_l1(got, mu) / mu.total)
                 done += 1
     planar = DiscreteSphericalMeasure(

@@ -5,7 +5,8 @@ import pytest
 
 from dualcurve import (Ellipsoid, GeometryError, cone_partition, radial_gauss,
                        radial_gauss_batch, reverse_radial_gauss_smooth)
-from dualcurve.gauss_maps import cell_quadrature, cell_solid_angles_mc, radial_gauss_index
+from dualcurve.gauss_maps import (cell_quadrature, cell_solid_angles_mc,
+                                  radial_batch, radial_gauss_index)
 
 from conftest import cube, random_symmetric_polytope
 
@@ -29,6 +30,14 @@ def test_radial_gauss_tie_returns_none():
     edge = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
     assert radial_gauss(p, edge) is None
     assert radial_gauss_index(p, edge) is None
+
+
+def test_radial_batch_tie_on_edge():
+    p = cube()
+    edge = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    rho, idx, tie = radial_batch(p.normals, p.offsets, edge[None, :])
+    assert tie[0]
+    assert rho[0] == pytest.approx(np.sqrt(2.0))
 
 
 def test_radial_gauss_batch_matches_scalar(rng):

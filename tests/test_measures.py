@@ -66,6 +66,64 @@ def test_square_atoms_frozen_values():
     np.testing.assert_allclose(mu2.weights, 1.0, rtol=1e-12)
 
 
+def test_atoms_continuous_through_q_equal_1():
+    # the closed-form radial integral has a removable singularity at q = 1
+    box = axis_box([-1.0, -0.7, -0.4], [1.0, 0.7, 0.4])
+    at_one = dual_curvature(box, 1.0).total
+    for q in (1.0 - 1e-12, 1.0 + 1e-12):
+        assert dual_curvature(box, q).total == pytest.approx(at_one, rel=1e-10)
+
+
+def test_thin_rectangle_sphere_side_and_cone_volume():
+    # edge cones of the long sides reach within atan(1/20) of a right angle
+    r = axis_box([-1.0, -0.05], [1.0, 0.05])
+    assert dual_quermassintegral(r, 2.0).value == pytest.approx(0.2, abs=1e-12)
+    cone = cone_volume_measure(r)
+    assert measure_max_discrepancy(dual_curvature(r, 2.0), cone) <= 1e-12 * cone.weights.max()
+
+
+THIN_BODIES = {
+    "slab": axis_box([-1.0, -1.0, -0.01], [1.0, 1.0, 0.01]),
+    "needle": axis_box([-0.5, -0.5, -25.0], [0.5, 0.5, 25.0]),
+    "off-centre": axis_box([-0.3, -0.8, -0.5], [1.2, 0.6, 1.5]),
+}
+THIN_QS = (-2.0, 0.5, 1.0, 2.0, 3.0, 6.0)
+
+
+def _fine_rule(name, q):
+    """Coarsest sphere rule (degree, subdiv) on the ladder (10, 3), (20, 5),
+    (20, 6) whose dual_quermassintegral agrees with the next finer one to
+    1e-9 relative, a tenth of the test's bound."""
+    if name == "off-centre":
+        return 10, 3
+    if name == "slab" and q >= 2.0:
+        return 20, 6
+    return 20, 5
+
+
+@pytest.mark.parametrize("q", THIN_QS)
+@pytest.mark.parametrize("name", list(THIN_BODIES))
+def test_thin_body_total_matches_fine_sphere_rule(name, q):
+    body = THIN_BODIES[name]
+    degree, subdiv = _fine_rule(name, q)
+    want = dual_quermassintegral(body, q, degree=degree, subdiv=subdiv).value
+    assert dual_curvature(body, q).total == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("q", (-1.0, 0.5, 1.0, 2.0, 3.0))
+def test_edge_shorter_than_incidence_slack(q):
+    # a corner cut 6e-9 long: longer than the vertex merge distance, shorter
+    # than the incidence slack, so its ends also count as vertices of the
+    # edges x = 1 and y = 1
+    normals = np.vstack([np.eye(2), -np.eye(2), np.array([[1.0, 1.0]]) / math.sqrt(2)])
+    p = HPolytope(normals, np.array([1.0, 1.0, 1.0, 1.0, (2.0 - 4.24e-9) / math.sqrt(2)]))
+    assert len(p.facet_vertices(0)) == 3
+    total = dual_curvature(p, q).total
+    assert total == pytest.approx(dual_quermassintegral(p, q).value, rel=1e-12)
+    # the cut takes off a sliver of order 1e-17
+    assert total == pytest.approx(dual_curvature(cube(dim=2), q).total, rel=1e-12)
+
+
 def test_q0_total_is_ball_volume(rng):
     for p in (cube(), cube(dim=2), random_symmetric_polytope(rng, pairs=6)):
         mu0 = dual_curvature_q0(p)
