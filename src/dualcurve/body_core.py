@@ -4,16 +4,25 @@ Three representations: halfspace intersections (HPolytope), vertex hulls
 (VPolytope), and two closed-form smooth families (ball, ellipsoid).  On top
 of them: support and radial functions, polar duality, Wulff shapes, convex
 hulls of radial graphs, and radial sums with balls.
+
+Polytope geometry comes from one Qhull hull per polytope (Barber, Dobkin &
+Huhdanpaa, ACM TOMS 1996, through scipy.spatial.ConvexHull).  An HPolytope
+takes the hull of its polar points v_i/h_i: each hull facet a.y + b = 0 is
+the vertex x = -a/b, the polar points of a hull facet are the halfspaces
+through that vertex, and polar points off the hull are inactive halfspaces.
+A VPolytope takes the hull of its points: the hull's vertices are its
+irredundant vertex list and the hull's facets its halfspaces.  Coplanar
+pieces of one hull facet are merged, so the cost grows with the number of
+facets, not with the number of n-subsets of halfspaces or points.
 """
 
-import itertools
+import functools
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
-RANK_TOL = 1e-10
 MERGE_TOL = 1e-9
-FEAS_TOL = 1e-9
+INTERIOR_TOL = 1e-12
 
 
 class GeometryError(ValueError):
@@ -39,44 +48,45 @@ def as_direction(v, tol=1e-9):
     return v
 
 
-def _interior_gap(points):
-    """Max eps with 0 = sum(lam_i p_i), sum(lam)=1, lam_i >= eps.
+def _qhull(points, refusal):
+    """Qhull hull of points whose convex hull must hold the origin inside.
 
-    Positive iff the origin is strictly inside conv(points); for unit
-    vectors this is the not-in-a-closed-hemisphere test.
+    Flat point sets, too few points and an origin on or outside the hull
+    raise GeometryError with the given message, never a QhullError.
     """
     pts = np.asarray(points, float)
-    k, n = pts.shape
-    # variables: lam_1..lam_k, eps ; maximize eps
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((n + 1, k + 1))
-    a_eq[:n, :k] = pts.T
-    a_eq[n, :k] = 1.0
-    b_eq = np.zeros(n + 1)
-    b_eq[n] = 1.0
-    a_ub = np.zeros((k, k + 1))
-    a_ub[:, :k] = -np.eye(k)
-    a_ub[:, -1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * k + [(0, None)], method="highs")
-    if not res.success:
-        return 0.0
-    return float(res.x[-1])
+    if not np.isfinite(pts).all():
+        raise GeometryError("coordinates must be finite")
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        raise GeometryError(refusal) from None
+    # hull normals are unit, so -offset is each facet plane's distance from 0
+    if not -hull.equations[:, -1].max() > INTERIOR_TOL * np.abs(pts).max():
+        raise GeometryError(refusal)
+    return hull
 
 
-def _positively_spans(normals):
-    normals = np.asarray(normals, float)
-    # symmetric direction sets of full rank always positively span
-    if _is_negation_closed(normals):
-        return np.linalg.matrix_rank(normals, tol=RANK_TOL) == normals.shape[1]
-    return _interior_gap(normals) > 1e-12
-
-
-def _is_negation_closed(dirs, tol=1e-9):
-    dirs = np.asarray(dirs, float)
-    d = np.linalg.norm(dirs[:, None, :] + dirs[None, :, :], axis=2)
-    return bool((d.min(axis=1) <= tol).all())
+def _merge_simplices(hull, keys, tol):
+    """Label the hull's simplices 0, 1, ... so that neighbours whose key rows
+    agree within tol share a label: the pieces Qhull triangulates one facet
+    into, or facets closer than tol.  Returns the labels and the first
+    simplex of each label."""
+    k, n = hull.neighbors.shape
+    s = np.repeat(np.arange(k), n)
+    t = hull.neighbors.ravel()
+    same = np.linalg.norm(keys[s] - keys[t], axis=1) <= tol
+    s, t = s[same], t[same]
+    # spread the lowest simplex index through each run of merged neighbours
+    low = np.arange(k)
+    while True:
+        spread = low.copy()
+        np.minimum.at(spread, s, low[t])
+        if np.array_equal(spread, low):
+            break
+        low = spread
+    first, labels = np.unique(low, return_inverse=True)
+    return labels, first
 
 
 def _require_distinct(dirs, tol=1e-9):
@@ -104,44 +114,66 @@ def _merge_points(points, tol=MERGE_TOL):
     return pts[keep].copy()
 
 
-class _VertexEnumerator:
-    """Cached n-subset solves for a fixed normal matrix.
+class _PolarHull:
+    """Vertices, facet incidence and edges of {x : x.v_i <= h_i} from the
+    Qhull hull of its polar points v_i/h_i.
 
-    Offsets vary across solver iterates while the normals stay put, so the
-    inverses of all nondegenerate n-by-n normal submatrices are computed
-    once.
+    Each hull simplex a.y + b = 0 is the vertex x = -a/b; neighbouring
+    simplices whose vertices lie within MERGE_TOL (coplanar pieces of one
+    hull facet, which Qhull triangulates) share one vertex id.  The polar
+    points of a simplex are the halfspaces through its vertex, so facet
+    incidence is combinatorial: a halfspace whose polar point is no hull
+    vertex, or that meets fewer than n vertices, has an empty facet.
     """
 
-    def __init__(self, normals, rank_tol=RANK_TOL):
-        normals = np.asarray(normals, float)
+    def __init__(self, normals, offsets):
         m, n = normals.shape
-        if m < n:
-            raise GeometryError("unbounded body: fewer halfspaces than dimensions")
-        combos = np.array(list(itertools.combinations(range(m), n)), dtype=np.int64)
-        mats = normals[combos]
-        dets = np.abs(np.linalg.det(mats))
-        good = dets > rank_tol
-        self.normals = normals
-        self.combos = combos[good]
-        self.inv = np.linalg.inv(mats[good])
+        hull = _qhull(normals / offsets[:, None],
+                      "unbounded body: normals lie in a closed hemisphere")
+        eq = hull.equations
+        x = -eq[:, :-1] / eq[:, -1:]
+        scale = max(1.0, float(np.max(offsets)))
+        self.labels, first = _merge_simplices(hull, x, MERGE_TOL * scale)
+        self.vertices = x[first]
+        self.vertices.flags.writeable = False
+        # (facet, vertex) pairs sorted by facet, for nonempty facets only
+        key = np.unique(hull.simplices.ravel() * len(first) + np.repeat(self.labels, n))
+        fac, ver = np.divmod(key, len(first))
+        self.full = np.bincount(fac, minlength=m) >= n
+        self.fac, self.ver = fac[self.full[fac]], ver[self.full[fac]]
+        self.hull = hull
 
-    def vertices(self, offsets, feas_tol=FEAS_TOL, merge_tol=MERGE_TOL):
-        offsets = np.asarray(offsets, float)
-        scale = max(1.0, float(np.max(np.abs(offsets))))
-        cand = np.einsum("sij,sj->si", self.inv, offsets[self.combos])
-        feas = (cand @ self.normals.T <= offsets + feas_tol * scale).all(axis=1)
-        pts = cand[feas]
-        if len(pts) == 0:
-            raise GeometryError("empty or degenerate body")
-        return _merge_points(pts, merge_tol * scale)
+    @functools.cached_property
+    def edges(self):
+        """Edges of a 3-d body as (facet, other facet, start, end) id arrays,
+        one row for each of the two facets an edge bounds.
+
+        Neighbouring simplices with different vertices share a ridge {i, j}:
+        the body's edge between their vertices, on facets i and j.  Rows of
+        empty facets are dropped.
+        """
+        lab, simplices = self.labels, self.hull.simplices
+        s = np.repeat(np.arange(len(lab)), 3)
+        k = np.tile(np.arange(3), len(lab))
+        t = self.hull.neighbors.ravel()
+        keep = (s < t) & (lab[s] != lab[t])
+        s, k, t = s[keep], k[keep], t[keep]
+        i = simplices[s, (k + 1) % 3]
+        j = simplices[s, (k + 2) % 3]
+        fac, other = np.concatenate([i, j]), np.concatenate([j, i])
+        ok = self.full[fac]
+        return fac[ok], other[ok], np.tile(lab[s], 2)[ok], np.tile(lab[t], 2)[ok]
 
 
 class HPolytope:
     """Intersection of halfspaces {x : x.v_i <= h_i} with unit normals v_i.
 
-    Immutable after construction.  Vertex enumeration, facet polygons,
-    areas and activity flags are computed lazily and cached.  Halfspaces
-    whose facet is empty are kept and flagged inactive rather than dropped.
+    Immutable after construction.  Vertices, facet incidence, edges, areas
+    and activity flags come lazily from one Qhull hull of the polar points
+    v_i/h_i and are cached.  Halfspaces whose facet is empty are kept and
+    flagged inactive rather than dropped.  validate=True also refuses
+    repeated normals and builds the hull at once, so an unbounded body is
+    refused at construction; otherwise on first use of the geometry.
     """
 
     def __init__(self, normals, offsets, symmetric=None, validate=True):
@@ -162,8 +194,6 @@ class HPolytope:
             raise GeometryError("offsets must be strictly positive (origin interior)")
         if validate:
             _require_distinct(normals)
-            if not _positively_spans(normals):
-                raise GeometryError("unbounded body: normals lie in a closed hemisphere")
         if symmetric is None:
             symmetric = self._detect_symmetric(normals, offsets)
         elif symmetric and not self._detect_symmetric(normals, offsets):
@@ -174,10 +204,11 @@ class HPolytope:
         self.symmetric = bool(symmetric)
         normals.flags.writeable = False
         offsets.flags.writeable = False
-        self._enum = None
-        self._vertices = None
+        self._polar_hull = None
         self._facet_ids = None
         self._areas = None
+        if validate:
+            self._polar  # builds the hull, which refuses an unbounded body
 
     @staticmethod
     def _detect_symmetric(normals, offsets, tol=1e-9):
@@ -190,35 +221,23 @@ class HPolytope:
     # -- lazy geometry ---------------------------------------------------
 
     @property
-    def enumerator(self):
-        if self._enum is None:
-            self._enum = _VertexEnumerator(self.normals)
-        return self._enum
+    def _polar(self):
+        if self._polar_hull is None:
+            self._polar_hull = _PolarHull(self.normals, self.offsets)
+        return self._polar_hull
 
     @property
     def vertices(self):
-        if self._vertices is None:
-            self._vertices = self.enumerator.vertices(self.offsets)
-            self._vertices.flags.writeable = False
-        return self._vertices
+        return self._polar.vertices
 
     def _incidence(self):
         """facet -> ordered vertex ids; [] for empty (inactive) facets."""
-        if self._facet_ids is not None:
-            return self._facet_ids
-        verts = self.vertices
-        scale = max(1.0, float(np.max(np.abs(self.offsets))))
-        slack = self.offsets[None, :] - verts @ self.normals.T
-        on = slack <= 10 * FEAS_TOL * scale
-        ids = []
-        for i in range(len(self.normals)):
-            sel = np.where(on[:, i])[0]
-            if len(sel) < self.dim:
-                ids.append(np.zeros(0, dtype=int))
-                continue
-            ids.append(self._order_facet(sel, i))
-        self._facet_ids = ids
-        return ids
+        if self._facet_ids is None:
+            g = self._polar
+            ids = np.split(g.ver, np.searchsorted(g.fac, np.arange(1, len(self.normals))))
+            self._facet_ids = [self._order_facet(sel, i) if len(sel) else sel
+                               for i, sel in enumerate(ids)]
+        return self._facet_ids
 
     def _order_facet(self, sel, i):
         """Order the facet's vertices around its centroid (n = 2, 3)."""
@@ -248,10 +267,22 @@ class HPolytope:
     @property
     def facet_areas(self):
         if self._areas is None:
-            areas = np.zeros(len(self.normals))
-            for i, ids in enumerate(self._incidence()):
-                if len(ids) >= self.dim:
-                    areas[i] = _polygon_area(self.vertices[ids], self.dim)
+            m, n = self.normals.shape
+            x, fac, ver = self.vertices, self._polar.fac, self._polar.ver
+            areas = np.zeros(m)
+            if n == 2:
+                # each nonempty facet holds two vertices, adjacent in the pairs
+                areas[fac[::2]] = np.linalg.norm(x[ver[1::2]] - x[ver[::2]], axis=1)
+            elif n == 3:
+                # triangles from the vertex centroid of each facet to its edges
+                count = np.maximum(np.bincount(fac, minlength=m), 1)
+                centre = np.stack([np.bincount(fac, x[ver, c], minlength=m)
+                                   for c in range(3)], axis=1) / count[:, None]
+                f, _, a, b = self._polar.edges
+                tri = np.cross(x[a] - centre[f], x[b] - x[a])
+                areas = 0.5 * np.bincount(f, np.linalg.norm(tri, axis=1), minlength=m)
+            else:
+                raise GeometryError("facet areas implemented for n in {2, 3} only")
             self._areas = areas
             self._areas.flags.writeable = False
         return self._areas
@@ -279,10 +310,8 @@ class HPolytope:
         return self.with_offsets(self.offsets * lam)
 
     def with_offsets(self, offsets):
-        """Same normal set, new offsets; shares the cached enumerator."""
-        p = HPolytope(self.normals, offsets, symmetric=None, validate=False)
-        p._enum = self.enumerator
-        return p
+        """Same normal set, new offsets."""
+        return HPolytope(self.normals, offsets, symmetric=None, validate=False)
 
     # -- io ----------------------------------------------------------------
 
@@ -320,27 +349,13 @@ def _cross3(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _polygon_area(verts, n):
-    if n == 2:
-        return float(np.linalg.norm(verts[-1] - verts[0]))
-    if n == 3:
-        if len(verts) < 3:
-            return 0.0
-        e1 = verts[1:-1] - verts[0]
-        e2 = verts[2:] - verts[0]
-        cx = e1[:, 1] * e2[:, 2] - e1[:, 2] * e2[:, 1]
-        cy = e1[:, 2] * e2[:, 0] - e1[:, 0] * e2[:, 2]
-        cz = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        return float(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz).sum())
-    # n >= 4: (n-1)-volume via QR of edge vectors is not needed at desk scale
-    raise GeometryError("facet areas implemented for n in {2, 3} only")
-
-
 class VPolytope:
     """Convex hull of a finite point set containing the origin inside.
 
-    The stored vertex list is irredundant: points inside the hull of the
-    others are pruned at construction.
+    The stored vertex list is irredundant: the Qhull hull of the points
+    prunes those inside it at construction (assume_extreme=True skips
+    that).  validate=False with assume_extreme=True defers the hull, and
+    with it the origin-interior test, to to_hpolytope.
     """
 
     def __init__(self, vertices, validate=True, assume_extreme=False):
@@ -350,10 +365,11 @@ class VPolytope:
             raise GeometryError("dimension must be >= 2")
         scale = max(1.0, float(np.max(np.abs(vertices))))
         vertices = _merge_points(vertices, MERGE_TOL * scale)
-        if validate and _interior_gap(vertices) <= 1e-12:
-            raise GeometryError("origin not interior")
-        if not assume_extreme:
-            vertices = _prune_redundant(vertices)
+        self._hull = None
+        if validate or not assume_extreme:
+            self._hull = _qhull(vertices, "origin not interior")
+            if not assume_extreme:
+                vertices = vertices[self._hull.vertices]
         self.dim = n
         self.vertices = vertices
         self.vertices.flags.writeable = False
@@ -367,10 +383,13 @@ class VPolytope:
         return self.to_hpolytope().radial(u)
 
     def to_hpolytope(self):
-        """Facet enumeration by exhaustive n-subset plane fitting."""
+        """Halfspaces from the hull's facet equations, coplanar pieces merged."""
         if self._hrep is None:
-            normals, offsets = _facet_enumeration(self.vertices)
-            self._hrep = HPolytope(normals, offsets, validate=False)
+            if self._hull is None:
+                self._hull = _qhull(self.vertices, "origin not interior")
+            eq = self._hull.equations
+            _, first = _merge_simplices(self._hull, eq[:, :-1], MERGE_TOL)
+            self._hrep = HPolytope(eq[first, :-1], -eq[first, -1], validate=False)
         return self._hrep
 
     def volume(self):
@@ -394,101 +413,6 @@ class VPolytope:
 
     def __repr__(self):
         return f"VPolytope(dim={self.dim}, vertices={len(self.vertices)})"
-
-
-def _prune_redundant(points):
-    pts = np.asarray(points, float)
-    if len(pts) <= pts.shape[1] + 1:
-        return pts
-    if pts.shape[1] == 2:
-        return _hull_2d(pts)
-    keep = []
-    for j in range(len(pts)):
-        others = np.delete(pts, j, axis=0)
-        if not _in_hull(pts[j], others):
-            keep.append(j)
-    return pts[keep]
-
-
-def _in_hull(x, points, tol=1e-9):
-    """Is x in conv(points)?  LP feasibility."""
-    k, n = points.shape
-    a_eq = np.vstack([points.T, np.ones(k)])
-    b_eq = np.concatenate([x, [1.0]])
-    res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * k,
-                  method="highs")
-    if not res.success:
-        return False
-    return float(np.abs(points.T @ res.x - x).max()) <= tol
-
-
-def _hull_2d(points, tol=1e-12):
-    """Andrew's monotone chain; drops interior and mid-segment points."""
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-    scale = max(1.0, float(np.max(np.abs(pts)))) ** 2
-
-    def cross2(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross2(out[-1] - out[-2], p - out[-2]) <= tol * scale:
-                out.pop()
-            out.append(p)
-        return out
-
-    lo = half(pts)
-    hi = half(pts[::-1])
-    return np.array(lo[:-1] + hi[:-1])
-
-
-def _facet_enumeration(points, rank_tol=RANK_TOL, side_tol=FEAS_TOL):
-    pts = np.asarray(points, float)
-    k, n = pts.shape
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    found = []
-    for combo in itertools.combinations(range(k), n):
-        sub = pts[list(combo)]
-        base = sub[1:] - sub[0]
-        if n == 2:
-            nu = np.array([-base[0][1], base[0][0]])
-        elif n == 3:
-            nu = np.cross(base[0], base[1])
-        else:
-            # null space of the edge matrix
-            _, s, vt = np.linalg.svd(base)
-            if s[-1] <= rank_tol * scale:
-                continue
-            nu = vt[-1]
-        ln = np.linalg.norm(nu)
-        if ln <= rank_tol * scale ** (n - 1):
-            continue
-        nu = nu / ln
-        d = float(nu @ sub[0])
-        sides = pts @ nu - d
-        if (sides <= side_tol * scale).all():
-            pass
-        elif (sides >= -side_tol * scale).all():
-            nu, d = -nu, -d
-        else:
-            continue
-        if d <= 0:
-            continue  # origin must be strictly inside
-        found.append((nu, d))
-    if not found:
-        raise GeometryError("facet enumeration failed (degenerate hull)")
-    normals, offsets = [], []
-    for nu, d in found:
-        dup = False
-        for j, w in enumerate(normals):
-            if np.linalg.norm(w - nu) <= 1e-9:
-                dup = True
-                break
-        if not dup:
-            normals.append(nu)
-            offsets.append(d)
-    return np.array(normals), np.array(offsets)
 
 
 # -- smooth bodies --------------------------------------------------------
@@ -624,12 +548,7 @@ def polar(body):
 
 def wulff_shape(dirs, h):
     """Intersection of {x.v <= h(v)} over the direction list."""
-    dirs = np.atleast_2d(np.asarray(dirs, float))
-    h = np.asarray(h, float)
-    _require_distinct(dirs)
-    if not _positively_spans(dirs):
-        raise GeometryError("unbounded Wulff shape")
-    return HPolytope(dirs, h, validate=False)
+    return HPolytope(np.atleast_2d(np.asarray(dirs, float)), np.asarray(h, float))
 
 
 def convex_hull_of_radial(dirs, rho):
@@ -638,9 +557,7 @@ def convex_hull_of_radial(dirs, rho):
     rho = np.asarray(rho, float)
     if (rho <= 0).any():
         raise GeometryError("radial values must be positive")
-    if not _positively_spans(dirs):
-        raise GeometryError("origin not interior")
-    return VPolytope(dirs * rho[:, None], validate=False)
+    return VPolytope(dirs * rho[:, None])
 
 
 def wulff_polar_identity_check(dirs, h, tol=1e-9):

@@ -8,11 +8,13 @@ density, and the valuation identity check.
 Polytope atoms for q != 0 come from one semi-analytic evaluator, _atoms,
 which every caller shares: in 3-d the facet integral of |x|^(q-3) has its
 radial direction integrated in closed form, leaving Gauss panels over the
-wedge angle of each facet edge; in 2-d the arc integral of sec^q becomes
-an analytic integrand under w = asinh(tan theta).  Both reach about 1e-14
-with no tuning knobs.  The sphere-side cone integrals behind
-dual_quermassintegral serve as the independent cross-check path.  The
-q = 0 atoms are closed-form solid angles.
+wedge angle of each facet edge, all edges of all facets in one NumPy pass
+over the (edge, facet) rows of the body's Qhull hull (see body_core); in
+2-d the arc integral of sec^q becomes an analytic integrand under
+w = asinh(tan theta).  Both reach about 1e-14 with no tuning knobs.  The
+sphere-side cone integrals behind dual_quermassintegral serve as the
+independent cross-check path.  The q = 0 atoms are closed-form solid
+angles.
 """
 
 import math
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
-                        VPolytope, _any_orthonormal, _cross3, as_direction)
+                        VPolytope, as_direction)
 from .gauss_maps import ConeCell, cone_partition, radial_batch
 from .quadrature import (arc_rule, sphere_rule, spherical_polygon_rule,
                          unit_ball_volume)
@@ -147,9 +149,8 @@ def _arcs_2d(P):
 
     Returns (ids, lo, hi): the edge the radial Gauss map sends the arc's
     midpoint to, and the arc's ends as signed angles about that edge's
-    normal.  The arcs tile the circle whatever the incidence slack says, so
-    an edge shorter than that slack is neither lost nor counted again on
-    its neighbours.
+    normal.  The arcs are read from the vertices alone, so they tile the
+    circle with no facet incidence involved.
     """
     x = P.vertices
     phi = np.sort(np.arctan2(x[:, 1], x[:, 0]))
@@ -192,72 +193,59 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     angle phi of each polygon edge.  Substituting w = asinh(tan phi) makes
     the integrand analytic with poles pi/2 off the real axis, so a few
     Gauss panels reach near machine accuracy even for skinny wedges.
+
+    One pass over the body's (edge, facet) rows: the edge's line lies at
+    distance m from the foot, and an end at signed position t along it
+    (from the foot's projection) has tan phi = t/m.  A wedge counts with
+    sign +1 when the foot is on the facet's side of the edge, that is when
+    h_i v_i . v_j < h_j for the edge's other facet j.
     """
     gl_x, gl_w = _gauss_nodes(n_nodes)
-    h = P.offsets
-    atoms = np.zeros(len(P.normals))
-    incidence = P._incidence()
-    edge_m, edge_wa, edge_wb, edge_h, edge_id = [], [], [], [], []
-    for i in range(len(P.normals)):
-        ids = incidence[i]
-        if len(ids) < 3:
-            continue
-        verts = P.vertices[ids]
-        v = P.normals[i]
-        t1 = _any_orthonormal(v)
-        t2 = _cross3(v, t1)
-        rel = verts - h[i] * v
-        xy = np.stack([rel @ t1, rel @ t2], axis=1)
-        a = xy
-        b = np.roll(xy, -1, axis=0)
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        elen = np.linalg.norm(b - a, axis=1)
-        good = (elen > 1e-14) & (np.abs(cross) > 1e-14 * np.maximum(elen, 1.0))
-        if not good.any():
-            continue
-        a, b, cross, elen = a[good], b[good], cross[good], elen[good]
-        # perpendicular from the foot to each edge line; |m| its distance
-        m = cross / elen
-        perp = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1) / elen[:, None]
-        sgn = np.sign(m)
-        m = np.abs(m)
-        perp *= sgn[:, None]
-        # signed ccw angles of the endpoints about the perpendicular; the
-        # sweep sign carries the in/out orientation of the wedge
-        pha = np.arctan2(perp[:, 0] * a[:, 1] - perp[:, 1] * a[:, 0],
-                         np.einsum("ej,ej->e", a, perp))
-        phb = np.arctan2(perp[:, 0] * b[:, 1] - perp[:, 1] * b[:, 0],
-                         np.einsum("ej,ej->e", b, perp))
-        edge_m.append(m)
-        edge_wa.append(np.arcsinh(np.tan(pha)))
-        edge_wb.append(np.arcsinh(np.tan(phb)))
-        edge_h.append(np.full(len(m), h[i]))
-        edge_id.append(np.full(len(m), i))
-    if not edge_m:
-        return atoms
-    m = np.concatenate(edge_m)
-    wa = np.concatenate(edge_wa)
-    wb = np.concatenate(edge_wb)
-    hh = np.concatenate(edge_h)
-    fid = np.concatenate(edge_id)
+    h, v = P.offsets, P.normals
+    fid, other, ia, ib = P._polar.edges
+    hh = h[fid]
+    rel = P.vertices[ia] - hh[:, None] * v[fid]
+    edge = P.vertices[ib] - P.vertices[ia]
+    # ends of an edge are distinct vertices, more than MERGE_TOL apart
+    elen = np.linalg.norm(edge, axis=1)
+    edge /= elen[:, None]
+    m = np.linalg.norm(np.cross(rel, edge), axis=1)
+    # a foot on the edge's line spans no wedge
+    good = m * elen > 1e-14 * np.maximum(elen, 1.0)
+    fid, other, hh, m, elen = fid[good], other[good], hh[good], m[good], elen[good]
+    ta = np.einsum("ej,ej->e", rel[good], edge[good])
+    inside = hh * np.einsum("ej,ej->e", v[fid], v[other]) < h[other]
+    wa = np.arcsinh(ta / m)
+    wb = np.arcsinh((ta + elen) / m)
     # n_panels equal panels per edge, Gauss nodes in each
     offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
     nodes = wa[:, None] + (wb - wa)[:, None] * offs[None, :]
     wts = (wb - wa)[:, None] * np.tile(gl_w, n_panels)[None, :] / (2.0 * n_panels)
-    u = np.sinh(nodes)
-    s2 = 1.0 + u * u
-    r2 = (m[:, None] ** 2) * s2
+    # s2 = cosh^2 = 1 + sinh^2 and r2 = m^2 s2; the (edge, node) arrays are
+    # updated in place, which saves a third of the time at 48 halfspaces
+    s2 = np.sinh(nodes)
+    s2 *= s2
+    s2 += 1.0
     h2 = (hh**2)[:, None]
+    inner = (m[:, None] ** 2) * s2
+    inner /= h2
+    np.log1p(inner, out=inner)
     if q == 1.0:
-        inner = 0.5 * np.log1p(r2 / h2)
+        inner *= 0.5
     else:
         # ((h2 + r2)^a - h2^a) / (q - 1) with a = (q - 1)/2, written so it
         # does not cancel as q -> 1
         a = 0.5 * (q - 1.0)
-        inner = h2**a * np.expm1(a * np.log1p(r2 / h2)) / (q - 1.0)
-    vals = (wts * inner * np.cosh(nodes) / s2).sum(axis=1)
-    np.add.at(atoms, fid, hh * vals / 3.0)
-    return atoms
+        inner *= a
+        np.expm1(inner, out=inner)
+        inner *= h2**a
+        inner /= q - 1.0
+    # integrand inner * dphi/dw = inner * cosh(w) / s2
+    inner *= wts
+    inner *= np.cosh(nodes)
+    inner /= s2
+    vals = np.where(inside, 1.0, -1.0) * inner.sum(axis=1)
+    return np.bincount(fid, hh * vals / 3.0, minlength=len(h))
 
 
 def _atoms_2d_arc(P, q, n_nodes=16, n_panels=4):

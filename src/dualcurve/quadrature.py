@@ -1,5 +1,6 @@
 """Numerical integration on spheres, circular arcs, and polytope facets."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,16 @@ from .body_core import GeometryError, unit
 def unit_ball_volume(n):
     """Volume of the unit ball in R^n."""
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+
+
+@functools.cache
+def _legendre(m):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size and
+    shared read-only."""
+    x, w = roots_legendre(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def sphere_area(n):
@@ -56,7 +67,7 @@ def sphere_rule(n, level, seed=0):
         return SphereQuadrature(2, nodes, np.full(m, 2 * math.pi / m))
     if n == 3:
         m = 2**level
-        x, w = roots_legendre(m)  # cos(theta) on [-1, 1]
+        x, w = _legendre(m)  # cos(theta) on [-1, 1]
         k = 2 * m
         phi = 2 * math.pi * np.arange(k) / k
         st = np.sqrt(1 - x**2)
@@ -95,7 +106,7 @@ def arc_rule(theta_lo, theta_hi, npts=48):
     """
     width = theta_hi - theta_lo
     panels = max(1, int(math.ceil(width / (math.pi / 4))))
-    x, w = roots_legendre(max(4, npts // panels))
+    x, w = _legendre(max(4, npts // panels))
     ths, wts = [], []
     for j in range(panels):
         a = theta_lo + width * j / panels
@@ -125,17 +136,18 @@ class FacetQuadrature:
         return len(self.weights)
 
 
+@functools.cache
 def triangle_rule(degree):
     """Positive-weight rule on the reference triangle {x,y>=0, x+y<=1}.
 
     Conical product of Gauss-Legendre and Gauss-Jacobi(1,0): exact for all
     polynomials of total degree <= degree.  Returns (points (k,2), weights)
-    with weights summing to 1/2.
+    with weights summing to 1/2, built once per degree and shared read-only.
     """
     if degree < 1:
         raise GeometryError("degree must be >= 1")
     m = (degree + 2) // 2
-    p, a = roots_legendre(m)
+    p, a = _legendre(m)
     u, b = roots_jacobi(m, 1, 0)
     t = 0.5 * (p + 1.0)
     x = 0.5 * (u + 1.0)
@@ -144,7 +156,10 @@ def triangle_rule(degree):
     xs = np.repeat(x, m)
     ys = (1.0 - xs) * np.tile(t, m)
     ws = np.repeat(wx, m) * np.tile(wt, m)
-    return np.column_stack([xs, ys]), ws
+    pts = np.column_stack([xs, ys])
+    pts.flags.writeable = False
+    ws.flags.writeable = False
+    return pts, ws
 
 
 def _subdivide_triangles(tris, levels):
@@ -204,7 +219,7 @@ def facet_rule(facet_vertices, degree=8, subdiv=0):
         raise GeometryError("invalid facet: need at least 2 vertices")
     scale = max(1.0, float(np.max(np.abs(verts))))
     if k == 2:
-        x, w = roots_legendre(max(2, (degree + 2) // 2))
+        x, w = _legendre(max(2, (degree + 2) // 2))
         a, b = verts
         pts = a + np.outer(0.5 * (x + 1.0), b - a)
         wts = 0.5 * np.linalg.norm(b - a) * w

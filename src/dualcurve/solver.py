@@ -100,7 +100,8 @@ def check_subspace_mass(mu, q):
     q' = q/(q-1); for q in (0, 1) only full concentration on a proper
     subspace is excluded.  The supremum over subspaces is attained on
     spans of atom directions, so subsets of size <= n-1 are enumerated
-    exhaustively (fine at desk scale).
+    exhaustively, all subsets of one size in one batched QR and residual
+    mask over the atoms.
     """
     if not isinstance(mu, DiscreteSphericalMeasure):
         raise GeometryError("expected a DiscreteSphericalMeasure")
@@ -116,16 +117,25 @@ def check_subspace_mass(mu, q):
     worst = FeasibilityResult(True, 0.0, 1.0, None)
     for d in range(1, n):
         bound = _mass_bound(n, d, q)
-        for subset in itertools.combinations(reps, d):
-            basis = mu.dirs[list(subset)]
-            if np.linalg.matrix_rank(basis, tol=1e-10) < d:
-                continue
-            sub = SubspaceQuery(basis)
-            mass = sum(w for v, w in zip(mu.dirs, mu.weights) if sub.contains(v))
-            ratio = mass / total
-            margin = bound - ratio
-            if margin < worst.bound - worst.ratio:
-                worst = FeasibilityResult(ratio < bound - 1e-12, ratio, bound, sub)
+        if math.isinf(bound):
+            continue
+        subsets = list(itertools.combinations(reps, d))
+        if not subsets:
+            continue
+        bases = mu.dirs[np.array(subsets)]
+        bases = bases[np.linalg.matrix_rank(bases, tol=1e-10) == d]
+        if not len(bases):
+            continue
+        frames, _ = np.linalg.qr(np.swapaxes(bases, 1, 2))
+        resid = mu.dirs - (mu.dirs @ frames) @ np.swapaxes(frames, 1, 2)
+        inside = np.linalg.norm(resid, axis=2) <= 1e-9
+        # summed atom by atom, in order, so near-ties resolve as one
+        # contains() call per atom would
+        ratio = np.cumsum(np.where(inside, mu.weights, 0.0), axis=1)[:, -1] / total
+        s = int(np.argmin(bound - ratio))
+        if bound - ratio[s] < worst.bound - worst.ratio:
+            worst = FeasibilityResult(ratio[s] < bound - 1e-12, ratio[s], bound,
+                                      SubspaceQuery(bases[s]))
     return worst
 
 
@@ -264,7 +274,12 @@ def solve_dual_minkowski(mu, cfg):
         while step > 1e-18:
             x_new = x + step * d
             body_new = base.with_offsets(np.exp(x_new))
-            atoms_new = _atoms(body_new, q)
+            try:
+                atoms_new = _atoms(body_new, q)
+            except GeometryError:
+                # a trial body too degenerate for its hull (offsets some 20
+                # orders of magnitude apart); the line search rejects it
+                atoms_new = np.full(len(x_new), np.nan)
             phi_new = phi_from_atoms(x_new, atoms_new)
             if phi_new >= phi + cfg.armijo * step * slope:
                 accepted = True

@@ -112,16 +112,32 @@ def test_thin_body_total_matches_fine_sphere_rule(name, q):
 
 @pytest.mark.parametrize("q", (-1.0, 0.5, 1.0, 2.0, 3.0))
 def test_edge_shorter_than_incidence_slack(q):
-    # a corner cut 6e-9 long: longer than the vertex merge distance, shorter
-    # than the incidence slack, so its ends also count as vertices of the
-    # edges x = 1 and y = 1
+    # a corner cut 6e-9 long: longer than the vertex merge distance, so the
+    # edges x = 1 and y = 1 each keep their own two vertices
     normals = np.vstack([np.eye(2), -np.eye(2), np.array([[1.0, 1.0]]) / math.sqrt(2)])
     p = HPolytope(normals, np.array([1.0, 1.0, 1.0, 1.0, (2.0 - 4.24e-9) / math.sqrt(2)]))
-    assert len(p.facet_vertices(0)) == 3
+    assert len(p.facet_vertices(0)) == 2
     total = dual_curvature(p, q).total
     assert total == pytest.approx(dual_quermassintegral(p, q).value, rel=1e-12)
     # the cut takes off a sliver of order 1e-17
     assert total == pytest.approx(dual_curvature(cube(dim=2), q).total, rel=1e-12)
+
+
+def test_cube_corner_cut_shorter_than_old_incidence_slack():
+    # the cut x + y + z <= 3 - 4.24e-9 leaves a corner triangle with edges
+    # about 6e-9 long; each of the faces x, y, z = 1 becomes a pentagon
+    normals = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3)) / math.sqrt(3)])
+    p = HPolytope(normals, np.r_[np.ones(6), (3.0 - 4.24e-9) / math.sqrt(3)])
+    for i in range(3):
+        assert len(p.facet_vertices(i)) == 5
+    cells = cone_partition(p)
+    assert [len(c.apex_rays) for c in cells[:6]] == [5, 5, 5, 4, 4, 4]
+    mu0 = dual_curvature_q0(p)
+    assert mu0.total == pytest.approx(unit_ball_volume(3), rel=1e-12)
+    atom = dual_curvature(p, 1.5).weights[0]
+    assert dual_area(p, 1.5, region=cells[0]) == pytest.approx(atom, rel=1e-8)
+    # the cut takes off a corner of volume about 1e-26
+    assert p.volume() == pytest.approx(8.0, rel=1e-14)
 
 
 def test_q0_total_is_ball_volume(rng):

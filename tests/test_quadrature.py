@@ -6,7 +6,8 @@ import pytest
 from dualcurve import (GeometryError, arc_integral, facet_rule, sphere_area,
                        sphere_rule, spherical_polygon_rule,
                        spherical_triangle_excess, unit_ball_volume)
-from dualcurve.quadrature import arc_rule, triangle_rule, triangles_to_quadrature
+from dualcurve.quadrature import (_legendre, arc_rule, triangle_rule,
+                                  triangles_to_quadrature)
 
 # int sec over [0, pi/4] = ln(1 + sqrt 2)
 LOG_1P_SQRT2 = 0.8813735870195430
@@ -69,6 +70,14 @@ def test_triangle_rule_monomial_exactness(degree):
             got = float(wts @ (pts[:, 0] ** a * pts[:, 1] ** b))
             want = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
             assert got == pytest.approx(want, rel=1e-12), (a, b)
+
+
+def test_gauss_rules_built_once_and_read_only():
+    for rule in (lambda: triangle_rule(8), lambda: _legendre(6)):
+        first, again = rule(), rule()
+        for a, b in zip(first, again):
+            assert a is b
+            assert not a.flags.writeable
 
 
 def test_triangles_to_quadrature_area_and_subdiv():

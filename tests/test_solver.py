@@ -1,11 +1,19 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcurve import (DiscreteSphericalMeasure, GeometryError, SolverConfig,
                        check_subspace_mass, dual_curvature, measure_l1,
                        phi_gradient, phi_mu, solve_dual_minkowski)
+from dualcurve.cli import _round_tree, main
+from dualcurve.solver import (FeasibilityResult, SubspaceQuery, _mass_bound,
+                              _pair_representatives)
 
 from conftest import cube, random_symmetric_polytope
 
@@ -130,6 +138,89 @@ def test_q_equals_n_bound_is_d_over_n():
     assert not feas.feasible
     assert feas.ratio == pytest.approx(0.5)
     assert feas.bound == pytest.approx(1.0 / 3.0)
+
+
+def _subspace_mass_reference(mu, q):
+    """check_subspace_mass as one contains() call per atom and subset."""
+    total = mu.total
+    n = mu.dim
+    reps = _pair_representatives(mu)
+    worst = FeasibilityResult(True, 0.0, 1.0, None)
+    for d in range(1, n):
+        bound = _mass_bound(n, d, q)
+        for subset in itertools.combinations(reps, d):
+            basis = mu.dirs[list(subset)]
+            if np.linalg.matrix_rank(basis, tol=1e-10) < d:
+                continue
+            sub = SubspaceQuery(basis)
+            mass = sum(w for v, w in zip(mu.dirs, mu.weights) if sub.contains(v))
+            ratio = mass / total
+            if bound - ratio < worst.bound - worst.ratio:
+                worst = FeasibilityResult(ratio < bound - 1e-12, ratio, bound, sub)
+    return worst
+
+
+def _great_circle_measure(seed, on_circle, off_circle, circles):
+    """Even measure with on_circle atom pairs on each of `circles` great
+    circles through one shared pair, plus off_circle pairs elsewhere."""
+    r = np.random.default_rng(seed)
+    turn, _ = np.linalg.qr(r.normal(size=(3, 3)))
+    reps = []
+    for c in range(circles):
+        tilt = math.pi * c / circles
+        for t in r.uniform(0.0, math.pi, size=on_circle):
+            reps.append([math.cos(t), math.sin(t) * math.cos(tilt), math.sin(t) * math.sin(tilt)])
+    reps.append([1.0, 0.0, 0.0])  # on every circle
+    reps = np.vstack([np.array(reps), r.normal(size=(off_circle, 3))]) @ turn.T
+    reps /= np.linalg.norm(reps, axis=1, keepdims=True)
+    w = r.uniform(0.2, 2.0, size=len(reps))
+    return DiscreteSphericalMeasure(np.vstack([reps, -reps]), np.concatenate([w, w]))
+
+
+def _same_feasibility(got, want):
+    assert got.feasible == want.feasible
+    assert got.ratio == want.ratio
+    assert got.bound == want.bound
+    assert (got.worst is None) == (want.worst is None)
+    if want.worst is not None:
+        np.testing.assert_array_equal(got.worst.basis, want.worst.basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 4), st.integers(1, 3),
+       st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+def test_subspace_mass_matches_reference_on_great_circles(seed, on_circle, off_circle,
+                                                          circles, q):
+    mu = _great_circle_measure(seed, on_circle, off_circle, circles)
+    _same_feasibility(check_subspace_mass(mu, q), _subspace_mass_reference(mu, q))
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+def test_subspace_mass_matches_reference_in_the_plane_and_on_axes(q):
+    # 2-d measures, and 3-d atoms on coordinate axes where many subspaces tie
+    plane = np.array([[1.0, 0], [0, 1], [1, 1], [1, -2]])
+    plane /= np.linalg.norm(plane, axis=1, keepdims=True)
+    axes = np.vstack([np.eye(3), [[1.0, 1, 0], [0, 1, 1]] / np.sqrt(2)])
+    for reps, w in ((plane, [1.0, 2, 0.5, 1.5]), (axes, [1.0, 1, 1, 2, 2])):
+        mu = DiscreteSphericalMeasure(np.vstack([reps, -reps]), np.tile(w, 2))
+        if q > mu.dim:
+            continue
+        _same_feasibility(check_subspace_mass(mu, q), _subspace_mass_reference(mu, q))
+
+
+@pytest.mark.parametrize("shape,q", [((3, 4, 2, 2), 2.0), ((3, 5, 1, 1), 2.0)])
+def test_check_smi_payload_matches_reference(tmp_path, shape, q):
+    # feasible, and infeasible with most mass on one great circle
+    mu = _great_circle_measure(*shape)
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(mu.to_dict()))
+    res = CliRunner().invoke(main, ["check-smi", str(path), "--q", str(q)])
+    want = _subspace_mass_reference(mu, q)
+    assert res.exit_code == (0 if want.feasible else 3)
+    expect = {"feasible": want.feasible, "worst_ratio": want.ratio, "bound": want.bound,
+              "worst_subspace_dim": want.worst.dim,
+              "worst_subspace_basis": [list(map(float, row)) for row in want.worst.basis]}
+    assert json.loads(res.output) == _round_tree(expect)
 
 
 def test_subspace_mass_validation():
