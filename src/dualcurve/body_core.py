@@ -16,6 +16,7 @@ pieces of one hull facet are merged, so the cost grows with the number of
 facets, not with the number of n-subsets of halfspaces or points.
 """
 
+import copy
 import functools
 
 import numpy as np
@@ -27,6 +28,22 @@ INTERIOR_TOL = 1e-12
 
 class GeometryError(ValueError):
     pass
+
+
+def require_dim(n):
+    """Geometry is served exactly in the plane and in 3-space, nowhere else."""
+    if n not in (2, 3):
+        raise GeometryError(f"dimension {n} is not served: n must be 2 or 3")
+
+
+def antipodes(dirs, tol=1e-9):
+    """Index of the direction within tol of -v for each direction v, or None
+    when some direction has no antipode."""
+    d = np.linalg.norm(dirs[None, :, :] + dirs[:, None, :], axis=2)
+    j = d.argmin(axis=1)
+    if (d[np.arange(len(dirs)), j] > tol).any():
+        return None
+    return j
 
 
 def unit(v):
@@ -174,49 +191,50 @@ class HPolytope:
     flagged inactive rather than dropped.  validate=True also refuses
     repeated normals and builds the hull at once, so an unbounded body is
     refused at construction; otherwise on first use of the geometry.
+    antipode[i] is the index of the normal -v_i (None when some normal
+    has no mirror); with_offsets shares it, as the normals do not change.
     """
 
     def __init__(self, normals, offsets, symmetric=None, validate=True):
         normals = np.atleast_2d(np.asarray(normals, float)).copy()
-        offsets = np.asarray(offsets, float).copy()
-        if normals.ndim != 2 or normals.shape[0] != offsets.shape[0]:
-            raise GeometryError("normals and offsets disagree in length")
-        m, n = normals.shape
-        if n < 2:
-            raise GeometryError("dimension must be >= 2")
+        if normals.ndim != 2:
+            raise GeometryError("normals must be a matrix of row vectors")
+        require_dim(normals.shape[1])
         norms = np.linalg.norm(normals, axis=1)
         if (np.abs(norms - 1.0) > 1e-9).any():
             raise GeometryError("facet normals must be unit vectors")
         fix = np.abs(norms - 1.0) > 1e-12
         if fix.any():
             normals[fix] /= norms[fix, None]
-        if (offsets <= 0).any():
-            raise GeometryError("offsets must be strictly positive (origin interior)")
         if validate:
             _require_distinct(normals)
-        if symmetric is None:
-            symmetric = self._detect_symmetric(normals, offsets)
-        elif symmetric and not self._detect_symmetric(normals, offsets):
-            raise GeometryError("symmetric flag set but halfspaces are not origin-symmetric")
-        self.dim = n
+        self.dim = normals.shape[1]
         self.normals = normals
+        normals.flags.writeable = False
+        self.antipode = antipodes(normals)
+        self._set_offsets(offsets, symmetric)
+        if validate:
+            self._polar  # builds the hull, which refuses an unbounded body
+
+    def _set_offsets(self, offsets, symmetric):
+        offsets = np.asarray(offsets, float).copy()
+        if offsets.shape != (len(self.normals),):
+            raise GeometryError("normals and offsets disagree in length")
+        if (offsets <= 0).any():
+            raise GeometryError("offsets must be strictly positive (origin interior)")
+        j = self.antipode
+        detected = j is not None and bool(
+            (np.abs(offsets[j] - offsets) <= 1e-9 * np.maximum(1.0, offsets)).all())
+        if symmetric is None:
+            symmetric = detected
+        elif symmetric and not detected:
+            raise GeometryError("symmetric flag set but halfspaces are not origin-symmetric")
         self.offsets = offsets
         self.symmetric = bool(symmetric)
-        normals.flags.writeable = False
         offsets.flags.writeable = False
         self._polar_hull = None
         self._facet_ids = None
         self._areas = None
-        if validate:
-            self._polar  # builds the hull, which refuses an unbounded body
-
-    @staticmethod
-    def _detect_symmetric(normals, offsets, tol=1e-9):
-        d = np.linalg.norm(normals[None, :, :] + normals[:, None, :], axis=2)
-        j = d.argmin(axis=1)
-        if (d[np.arange(len(normals)), j] > tol).any():
-            return False
-        return bool((np.abs(offsets[j] - offsets) <= tol * np.maximum(1.0, offsets)).all())
 
     # -- lazy geometry ---------------------------------------------------
 
@@ -240,20 +258,18 @@ class HPolytope:
         return self._facet_ids
 
     def _order_facet(self, sel, i):
-        """Order the facet's vertices around its centroid (n = 2, 3)."""
+        """Order the facet's vertices around its centroid."""
         verts = self.vertices[sel]
         if self.dim == 2:
             t = np.array([-self.normals[i][1], self.normals[i][0]])
             order = np.argsort(verts @ t)
             return sel[order]
-        if self.dim == 3:
-            v = self.normals[i]
-            t1 = _any_orthonormal(v)
-            t2 = _cross3(v, t1)
-            c = verts.mean(axis=0)
-            ang = np.arctan2((verts - c) @ t2, (verts - c) @ t1)
-            return sel[np.argsort(ang)]
-        return sel  # n >= 4: unordered
+        v = self.normals[i]
+        t1 = _any_orthonormal(v)
+        t2 = _cross3(v, t1)
+        c = verts.mean(axis=0)
+        ang = np.arctan2((verts - c) @ t2, (verts - c) @ t1)
+        return sel[np.argsort(ang)]
 
     def facet_vertices(self, i):
         ids = self._incidence()[i]
@@ -273,7 +289,7 @@ class HPolytope:
             if n == 2:
                 # each nonempty facet holds two vertices, adjacent in the pairs
                 areas[fac[::2]] = np.linalg.norm(x[ver[1::2]] - x[ver[::2]], axis=1)
-            elif n == 3:
+            else:
                 # triangles from the vertex centroid of each facet to its edges
                 count = np.maximum(np.bincount(fac, minlength=m), 1)
                 centre = np.stack([np.bincount(fac, x[ver, c], minlength=m)
@@ -281,8 +297,6 @@ class HPolytope:
                 f, _, a, b = self._polar.edges
                 tri = np.cross(x[a] - centre[f], x[b] - x[a])
                 areas = 0.5 * np.bincount(f, np.linalg.norm(tri, axis=1), minlength=m)
-            else:
-                raise GeometryError("facet areas implemented for n in {2, 3} only")
             self._areas = areas
             self._areas.flags.writeable = False
         return self._areas
@@ -310,8 +324,11 @@ class HPolytope:
         return self.with_offsets(self.offsets * lam)
 
     def with_offsets(self, offsets):
-        """Same normal set, new offsets."""
-        return HPolytope(self.normals, offsets, symmetric=None, validate=False)
+        """Same normal set and antipode index, new offsets; the symmetry test
+        is one offset comparison per halfspace."""
+        body = copy.copy(self)
+        body._set_offsets(offsets, None)
+        return body
 
     # -- io ----------------------------------------------------------------
 
@@ -360,9 +377,10 @@ class VPolytope:
 
     def __init__(self, vertices, validate=True, assume_extreme=False):
         vertices = np.atleast_2d(np.asarray(vertices, float)).copy()
-        k, n = vertices.shape
-        if n < 2:
-            raise GeometryError("dimension must be >= 2")
+        if vertices.ndim != 2:
+            raise GeometryError("vertices must be a matrix of row vectors")
+        n = vertices.shape[1]
+        require_dim(n)
         scale = max(1.0, float(np.max(np.abs(vertices))))
         vertices = _merge_points(vertices, MERGE_TOL * scale)
         self._hull = None
@@ -428,6 +446,7 @@ class Ball(SmoothBody):
     def __init__(self, radius, dim=3):
         if radius <= 0:
             raise GeometryError("radius must be positive")
+        require_dim(dim)
         self.radius = float(radius)
         self.dim = int(dim)
 
@@ -461,6 +480,9 @@ class Ellipsoid(SmoothBody):
 
     def __init__(self, axes):
         axes = np.asarray(axes, float)
+        if axes.ndim != 1:
+            raise GeometryError("axes must be a vector")
+        require_dim(len(axes))
         if (axes <= 0).any():
             raise GeometryError("axes must be positive")
         self.axes = axes

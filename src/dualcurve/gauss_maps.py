@@ -3,6 +3,7 @@
 For a polytope, each facet owns the spherical cone of directions whose
 boundary ray exits through it; the map from direction to facet normal is
 single-valued off the cone boundaries and flagged non-unique on them.
+Bodies live in R^2 or R^3, where every cell measure is closed-form.
 """
 
 import math
@@ -10,8 +11,7 @@ import math
 import numpy as np
 
 from .body_core import GeometryError, HPolytope, SmoothBody, as_direction, unit
-from .quadrature import (sphere_area, spherical_polygon_rule,
-                         spherical_triangle_excess)
+from .quadrature import spherical_triangle_excess
 
 TIE_TOL = 1e-10
 
@@ -122,8 +122,10 @@ def cone_partition(P):
     """One ConeCell per halfspace; inactive halfspaces yield empty cells.
 
     Cells cover the sphere and overlap only on boundaries.  Apex rays are
-    the unit vectors toward the facet's vertices, in facet cycle order for
-    n = 3.
+    the unit vectors toward the facet's vertices: the two ends of an edge
+    for n = 2, the facet's vertex cycle for n = 3.  A cell's measure is
+    closed-form (ConeCell.solid_angle); spherical_polygon_rule on its apex
+    rays integrates over a 3-d cell.
     """
     cells = []
     act = P.active
@@ -137,37 +139,6 @@ def cone_partition(P):
         cell._rho = lambda u, _P=P: _P.radial(u)
         cells.append(cell)
     return cells
-
-
-def cell_quadrature(cell, degree=8, subdiv=2, n_mc=None, seed=0):
-    """Spherical quadrature over one cone cell.
-
-    n=3 cells use the fan-transport rule; weights sum to the solid angle.
-    n>=4 cells are sampled by Monte Carlo over the whole sphere restricted
-    to the cell (reduced accuracy).  n=2 callers should use arcs directly.
-    """
-    if cell.empty:
-        raise GeometryError("empty cell has no quadrature")
-    n = len(cell.normal)
-    if n == 3:
-        return spherical_polygon_rule(cell.apex_rays, degree=degree, subdiv=subdiv)
-    raise GeometryError("cell quadrature implemented for n=3; use measure routines for other n")
-
-
-def cell_solid_angles_mc(P, level=16, seed=0):
-    """Monte Carlo cell measures: 2**level uniform directions in any dimension.
-
-    Reduced accuracy; the closed forms in ConeCell.solid_angle are exact for
-    n in {2, 3}.  Totals sphere_area(n) by construction.
-    """
-    rng = np.random.default_rng(seed)
-    m = 2**level
-    dirs = rng.normal(size=(m, P.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    _, idx, _ = radial_batch(P.normals, P.offsets, dirs, TIE_TOL)
-    out = np.zeros(len(P.normals))
-    np.add.at(out, idx, sphere_area(P.dim) / m)
-    return out
 
 
 def reverse_radial_gauss_smooth(K, v):

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
-                        VPolytope, as_direction)
+                        VPolytope, antipodes, as_direction)
 from .gauss_maps import ConeCell, cone_partition, radial_batch
 from .quadrature import (arc_rule, sphere_rule, spherical_polygon_rule,
                          unit_ball_volume)
@@ -30,7 +30,6 @@ from .quadrature import (arc_rule, sphere_rule, spherical_polygon_rule,
 DEFAULT_DEGREE = 10
 DEFAULT_SUBDIV = 3
 SMOOTH_LEVELS = {2: 10, 3: 6}
-MC_LEVEL = 16
 
 
 class DiscreteSphericalMeasure:
@@ -69,9 +68,8 @@ class DiscreteSphericalMeasure:
     @staticmethod
     def _detect_even(dirs, weights, tol=1e-9):
         scale = max(1.0, float(weights.max()) if len(weights) else 1.0)
-        d = np.linalg.norm(dirs[None, :, :] + dirs[:, None, :], axis=2)
-        j = d.argmin(axis=1)
-        if (d[np.arange(len(dirs)), j] > tol).any():
+        j = antipodes(dirs, tol)
+        if j is None:
             return False
         return bool((np.abs(weights[j] - weights) <= tol * scale).all())
 
@@ -176,6 +174,10 @@ def _sec_arc_rule(lo, hi, npts):
 
 
 _GL_CACHE = {}
+# rows per block of the (edge, node) arrays of _atoms_3d_radial: at 128
+# nodes a row, each temporary stays at 64 KB, inside the cache and small
+# enough for the allocator to reuse instead of mapping fresh pages per call
+EDGE_BLOCK = 64
 
 
 def _gauss_nodes(n):
@@ -194,7 +196,8 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     the integrand analytic with poles pi/2 off the real axis, so a few
     Gauss panels reach near machine accuracy even for skinny wedges.
 
-    One pass over the body's (edge, facet) rows: the edge's line lies at
+    One pass over the body's (edge, facet) rows, EDGE_BLOCK rows at a
+    time for the (edge, node) arrays: the edge's line lies at
     distance m from the foot, and an end at signed position t along it
     (from the foot's projection) has tan phi = t/m.  A wedge counts with
     sign +1 when the foot is on the facet's side of the edge, that is when
@@ -219,8 +222,20 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     wb = np.arcsinh((ta + elen) / m)
     # n_panels equal panels per edge, Gauss nodes in each
     offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
+    gw = np.tile(gl_w, n_panels)
+    sums = np.empty(len(wa))
+    for lo in range(0, len(wa), EDGE_BLOCK):
+        b = slice(lo, lo + EDGE_BLOCK)
+        sums[b] = _wedge_sums(q, wa[b], wb[b], m[b], hh[b], offs, gw, n_panels)
+    vals = np.where(inside, 1.0, -1.0) * sums
+    return np.bincount(fid, hh * vals / 3.0, minlength=len(h))
+
+
+def _wedge_sums(q, wa, wb, m, hh, offs, gw, n_panels):
+    """Gauss sums of the wedge integrals of (edge, facet) rows of
+    _atoms_3d_radial, from w = wa to wb at distance m from the foot."""
     nodes = wa[:, None] + (wb - wa)[:, None] * offs[None, :]
-    wts = (wb - wa)[:, None] * np.tile(gl_w, n_panels)[None, :] / (2.0 * n_panels)
+    wts = (wb - wa)[:, None] * gw[None, :] / (2.0 * n_panels)
     # s2 = cosh^2 = 1 + sinh^2 and r2 = m^2 s2; the (edge, node) arrays are
     # updated in place, which saves a third of the time at 48 halfspaces
     s2 = np.sinh(nodes)
@@ -244,8 +259,7 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     inner *= wts
     inner *= np.cosh(nodes)
     inner /= s2
-    vals = np.where(inside, 1.0, -1.0) * inner.sum(axis=1)
-    return np.bincount(fid, hh * vals / 3.0, minlength=len(h))
+    return inner.sum(axis=1)
 
 
 def _atoms_2d_arc(P, q, n_nodes=16, n_panels=4):
@@ -267,16 +281,6 @@ def _atoms_2d_arc(P, q, n_nodes=16, n_panels=4):
     return atoms
 
 
-def _atoms_mc(P, q, level, seed=0):
-    """Monte Carlo cone atoms for n >= 4 (reduced accuracy mode)."""
-    rule = sphere_rule(P.dim, level, seed=seed)
-    rho, idx, _ = radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
-    vals = rule.weights * rho**q / P.dim
-    out = np.zeros(len(P.normals))
-    np.add.at(out, idx, vals)
-    return out
-
-
 def _atoms(P, q):
     """Index-q atoms of an H-polytope, one per halfspace (0 if inactive).
 
@@ -286,19 +290,7 @@ def _atoms(P, q):
     """
     if P.dim == 2:
         return _atoms_2d_arc(P, q)
-    if P.dim == 3:
-        return _atoms_3d_radial(P, q)
-    return _atoms_mc(P, q, MC_LEVEL)
-
-
-def _solid_angles(P):
-    if P.dim in (2, 3):
-        return np.array([c.solid_angle() if not c.empty else 0.0 for c in cone_partition(P)])
-    rule = sphere_rule(P.dim, MC_LEVEL)
-    _, idx, _ = radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
-    out = np.zeros(len(P.normals))
-    np.add.at(out, idx, rule.weights)
-    return out
+    return _atoms_3d_radial(P, q)
 
 
 def _require_hpolytope(body):
@@ -309,18 +301,16 @@ def _require_hpolytope(body):
     return body
 
 
-def _symmetrize(dirs, atoms, tol=1e-9):
-    """Average atom weights over mirror pairs.
+def _facet_measure(P, atoms):
+    """The measure with one atom per halfspace of P.
 
-    A symmetric body has an exactly even measure; averaging removes the
-    quadrature noise that differs between a facet and its mirror image.
+    A symmetric body has an exactly even measure; averaging each atom with
+    its mirror's removes the quadrature noise that differs between a facet
+    and its mirror image.
     """
-    d = np.linalg.norm(dirs[None, :, :] + dirs[:, None, :], axis=2)
-    j = d.argmin(axis=1)
-    ok = d[np.arange(len(dirs)), j] <= tol
-    out = atoms.copy()
-    out[ok] = 0.5 * (atoms[ok] + atoms[j[ok]])
-    return out
+    if P.symmetric:
+        atoms = 0.5 * (atoms + atoms[P.antipode])
+    return DiscreteSphericalMeasure(P.normals, atoms, even=P.symmetric or None)
 
 
 def dual_curvature(P, q):
@@ -333,10 +323,7 @@ def dual_curvature(P, q):
     P = _require_hpolytope(P)
     if q == 0:
         return dual_curvature_q0(P)
-    atoms = _atoms(P, q)
-    if P.symmetric:
-        atoms = _symmetrize(P.normals, atoms)
-    return DiscreteSphericalMeasure(P.normals, atoms, even=P.symmetric or None)
+    return _facet_measure(P, _atoms(P, q))
 
 
 def dual_curvature_q0(P):
@@ -346,10 +333,8 @@ def dual_curvature_q0(P):
     the polar body.
     """
     P = _require_hpolytope(P)
-    atoms = _solid_angles(P) / P.dim
-    if P.symmetric:
-        atoms = _symmetrize(P.normals, atoms)
-    return DiscreteSphericalMeasure(P.normals, atoms, even=P.symmetric or None)
+    angles = np.array([c.solid_angle() if not c.empty else 0.0 for c in cone_partition(P)])
+    return _facet_measure(P, angles / P.dim)
 
 
 def cone_volume_measure(P):
@@ -386,16 +371,12 @@ def _cone_nodes(P, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, npts=64):
         for i, lo, hi in zip(*_arcs_2d(P)):
             th, w = _sec_arc_rule(lo, hi, npts)
             yield w, P.offsets[i] / np.cos(th)
-    elif P.dim == 3:
-        for i in np.flatnonzero(P.active):
-            verts = P.facet_vertices(i)
-            rays = verts / np.linalg.norm(verts, axis=1)[:, None]
-            rule = spherical_polygon_rule(rays, degree=degree, subdiv=subdiv)
-            yield rule.weights, P.offsets[i] / (rule.nodes @ P.normals[i])
-    else:
-        rule = sphere_rule(P.dim, MC_LEVEL)
-        rho, _, _ = radial_batch(P.normals, P.offsets, rule.nodes, 1e-10)
-        yield rule.weights, rho
+        return
+    for i in np.flatnonzero(P.active):
+        verts = P.facet_vertices(i)
+        rays = verts / np.linalg.norm(verts, axis=1)[:, None]
+        rule = spherical_polygon_rule(rays, degree=degree, subdiv=subdiv)
+        yield rule.weights, P.offsets[i] / (rule.nodes @ P.normals[i])
 
 
 def _rho_batch(body, dirs):
@@ -404,6 +385,19 @@ def _rho_batch(body, dirs):
     if isinstance(body, Ellipsoid):
         return 1.0 / np.sqrt(np.sum((dirs / body.axes) ** 2, axis=1))
     raise GeometryError("no closed-form radial function")
+
+
+def _sphere_cells(K, degree, subdiv):
+    """The sphere-side rule of K as (weights, rho) pieces, with K's dimension.
+
+    Smooth bodies take one global sphere rule; polytopes the cone cells of
+    _cone_nodes, independent of the facet-path atoms.
+    """
+    if isinstance(K, SmoothBody):
+        rule = sphere_rule(K.dim, SMOOTH_LEVELS[K.dim])
+        return [(rule.weights, _rho_batch(K, rule.nodes))], K.dim
+    P = _require_hpolytope(K)
+    return _cone_nodes(P, degree, subdiv), P.dim
 
 
 class DualQuermassResult:
@@ -418,7 +412,7 @@ class DualQuermassResult:
         return f"DualQuermassResult(q={self.q}, value={self.value!r}, normalized={self.normalized!r})"
 
 
-def dual_quermassintegral(K, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, level=None):
+def dual_quermassintegral(K, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV):
     """(1/n) integral of rho^q over the sphere, with the normalized dual volume.
 
     Polytopes integrate cone-wise on the sphere side (independent of the
@@ -426,16 +420,7 @@ def dual_quermassintegral(K, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, le
     any real for polytopes; the normalization at q=0 is the exponential of
     the mean of log rho.
     """
-    if isinstance(K, SmoothBody):
-        if level is None:
-            level = SMOOTH_LEVELS.get(K.dim, 14)
-        rule = sphere_rule(K.dim, level)
-        cells = [(rule.weights, _rho_batch(K, rule.nodes))]
-        n = K.dim
-    else:
-        P = _require_hpolytope(K)
-        cells = _cone_nodes(P, degree, subdiv)
-        n = P.dim
+    cells, n = _sphere_cells(K, degree, subdiv)
     omega = unit_ball_volume(n)
     if q == 0:
         sums = np.sum([(w.sum(), w @ np.log(rho)) for w, rho in cells], axis=0)
@@ -470,12 +455,10 @@ def dual_area(K, q, region=None, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, n
             hi = math.atan2(v[0] * b[1] - v[1] * b[0], float(v @ b))
             th, w = _sec_arc_rule(min(lo, hi), max(lo, hi), npts)
             total += 0.5 * cell.offset**q * float(w @ np.cos(th) ** (-q))
-        elif n == 3:
+        else:
             rule = spherical_polygon_rule(cell.apex_rays, degree=degree, subdiv=subdiv)
             rho = cell.offset / (rule.nodes @ cell.normal)
             total += float(rule.weights @ rho**q) / 3.0
-        else:
-            raise GeometryError("cell regions implemented for n in {2, 3}")
     return total
 
 
@@ -488,14 +471,7 @@ def dual_steiner_check(K, t_samples, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDI
     counterpart is dual_quermassintegral(K, q=i).
     """
     t_samples = np.asarray(t_samples, float)
-    if isinstance(K, SmoothBody):
-        rule = sphere_rule(K.dim, SMOOTH_LEVELS.get(K.dim, 14))
-        cells = [(rule.weights, _rho_batch(K, rule.nodes))]
-        n = K.dim
-    else:
-        P = _require_hpolytope(K)
-        cells = _cone_nodes(P, degree, subdiv)
-        n = P.dim
+    cells, n = _sphere_cells(K, degree, subdiv)
     if len(t_samples) < n + 1:
         raise GeometryError("need at least n+1 sample values of t")
     vols = np.sum([[float(w @ (rho + t) ** n) for t in t_samples] for w, rho in cells], axis=0) / n

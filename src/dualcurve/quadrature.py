@@ -6,9 +6,8 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.special import roots_jacobi, roots_legendre
-from scipy.stats import qmc
 
-from .body_core import GeometryError, unit
+from .body_core import GeometryError, require_dim, unit
 
 
 def unit_ball_volume(n):
@@ -49,15 +48,15 @@ class SphereQuadrature:
         return len(self.weights)
 
 
-def sphere_rule(n, level, seed=0):
-    """Quadrature over the full sphere in R^n.
+def sphere_rule(n, level):
+    """Quadrature over the full sphere in R^n, n in {2, 3}.
 
     n=2: trapezoid with 2**level equispaced angles (spectral on smooth
     periodic integrands).  n=3: product of Gauss-Legendre in cos(theta)
     with 2**level nodes and a uniform grid of 2**(level+1) angles in phi.
-    n>=4: 2**level quasi-random points with equal weights (reduced
-    accuracy mode).
+    Any other n raises GeometryError.
     """
+    require_dim(n)
     if level < 1:
         raise GeometryError("level must be >= 1")
     if n == 2:
@@ -65,29 +64,17 @@ def sphere_rule(n, level, seed=0):
         th = 2 * math.pi * np.arange(m) / m
         nodes = np.column_stack([np.cos(th), np.sin(th)])
         return SphereQuadrature(2, nodes, np.full(m, 2 * math.pi / m))
-    if n == 3:
-        m = 2**level
-        x, w = _legendre(m)  # cos(theta) on [-1, 1]
-        k = 2 * m
-        phi = 2 * math.pi * np.arange(k) / k
-        st = np.sqrt(1 - x**2)
-        nodes = np.empty((m * k, 3))
-        nodes[:, 0] = np.outer(st, np.cos(phi)).ravel()
-        nodes[:, 1] = np.outer(st, np.sin(phi)).ravel()
-        nodes[:, 2] = np.repeat(x, k)
-        weights = np.repeat(w, k) * (2 * math.pi / k)
-        return SphereQuadrature(3, nodes, weights)
-    # n >= 4: scrambled Sobol mapped through the Gaussian to the sphere
     m = 2**level
-    sob = qmc.Sobol(d=n, scramble=True, seed=seed).random(m)
-    sob = np.clip(sob, 1e-12, 1 - 1e-12)
-    from scipy.special import ndtri
-
-    g = ndtri(sob)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    nodes = g / norms[:, None]
-    return SphereQuadrature(n, nodes, np.full(m, sphere_area(n) / m))
+    x, w = _legendre(m)  # cos(theta) on [-1, 1]
+    k = 2 * m
+    phi = 2 * math.pi * np.arange(k) / k
+    st = np.sqrt(1 - x**2)
+    nodes = np.empty((m * k, 3))
+    nodes[:, 0] = np.outer(st, np.cos(phi)).ravel()
+    nodes[:, 1] = np.outer(st, np.sin(phi)).ravel()
+    nodes[:, 2] = np.repeat(x, k)
+    weights = np.repeat(w, k) * (2 * math.pi / k)
+    return SphereQuadrature(3, nodes, weights)
 
 
 def arc_integral(f, theta_lo, theta_hi, tol=1e-10):

@@ -17,9 +17,15 @@ import math
 
 import numpy as np
 
-from .body_core import GeometryError, HPolytope, SmoothBody, wulff_shape
+from .body_core import GeometryError, HPolytope, SmoothBody, antipodes, wulff_shape
 from .measures import DiscreteSphericalMeasure, _atoms, dual_quermassintegral
 from .quadrature import unit_ball_volume
+
+# Armijo backtracking: first trial step, shrink factor per rejected trial,
+# and the sufficient-increase fraction of the slope
+STEP_INIT = 1.0
+STEP_SHRINK = 0.5
+ARMIJO = 1e-4
 
 
 class SubspaceQuery:
@@ -56,11 +62,12 @@ class FeasibilityResult:
 
 
 class SolverConfig:
-    """Knobs for the ascent: tolerance on the L1 gradient (= the measure
-    residual at the optimum), iteration cap, and backtracking parameters."""
+    """What a solve asks for: the index q, the tolerance on the L1 gradient
+    (= the measure residual at the optimum) and the iteration cap.  The
+    ascent starts from the Wulff shape with unit offsets, and its line
+    search uses the module constants STEP_INIT, STEP_SHRINK and ARMIJO."""
 
-    def __init__(self, q, tol=1e-6, max_iter=10000, step_init=1.0,
-                 step_shrink=0.5, armijo=1e-4, h0=None):
+    def __init__(self, q, tol=1e-6, max_iter=10000):
         if tol <= 0:
             raise GeometryError("tol must be positive")
         if q <= 0:
@@ -68,10 +75,6 @@ class SolverConfig:
         self.q = float(q)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.step_init = float(step_init)
-        self.step_shrink = float(step_shrink)
-        self.armijo = float(armijo)
-        self.h0 = None if h0 is None else np.asarray(h0, float)
 
 
 class SolverReport:
@@ -150,18 +153,11 @@ def _mass_bound(n, d, q):
 
 
 def _pair_representatives(mu, tol=1e-9):
-    reps = []
-    seen = np.zeros(len(mu.dirs), dtype=bool)
-    for i in range(len(mu.dirs)):
-        if seen[i]:
-            continue
-        d = np.linalg.norm(mu.dirs + mu.dirs[i], axis=1)
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            raise GeometryError("measure must be even")
-        seen[i] = seen[j] = True
-        reps.append(i)
-    return reps
+    """The lower index of each antipodal pair of atom directions."""
+    j = antipodes(mu.dirs, tol)
+    if j is None:
+        raise GeometryError("measure must be even")
+    return [i for i in range(len(j)) if i < j[i]]
 
 
 def phi_mu(K, mu, q):
@@ -222,16 +218,13 @@ def solve_dual_minkowski(mu, cfg):
         return SolverReport(None, math.inf, [], 0, False, False,
                             message="subspace mass bound violated")
 
-    reps = _pair_representatives(mu)
-    partner = _pair_partners(mu, reps)
     dirs = mu.dirs
     total = mu.total
     gamma = mu.weights
     omega = unit_ball_volume(n)
 
     base = wulff_shape(dirs, np.ones(len(dirs)))
-    if cfg.h0 is not None:
-        base = base.with_offsets(np.asarray(cfg.h0, float))
+    partner = base.antipode
 
     def phi_from_atoms(x_full, atoms):
         w = float(atoms.sum())
@@ -239,8 +232,9 @@ def solve_dual_minkowski(mu, cfg):
             return -math.inf  # degenerate trial body; line search rejects it
         return float(-(gamma @ x_full) / total + (math.log(w) - math.log(omega)) / q)
 
-    x = np.log(base.offsets)
-    body = base.with_offsets(np.exp(x))
+    # the ascent starts at the unit offsets, x = log h = 0
+    x = np.zeros(len(dirs))
+    body = base
     atoms = _atoms(body, q)
     phi = phi_from_atoms(x, atoms)
     phi_trace = [phi]
@@ -249,7 +243,7 @@ def solve_dual_minkowski(mu, cfg):
     converged = False
     message = ""
     it = 0
-    last_step = cfg.step_init
+    last_step = STEP_INIT
     for it in range(1, cfg.max_iter + 1):
         grad = atoms / atoms.sum() - gamma / total
         res = float(np.abs(grad).sum())
@@ -264,12 +258,10 @@ def solve_dual_minkowski(mu, cfg):
             d = np.log(np.maximum(atoms / atoms.sum(), 1e-300)) - np.log(gamma / total)
         d = np.clip(d, -50.0, 50.0)  # keeps exp(x + step*d) finite
         # symmetrize over atom pairs so iterates stay origin-symmetric
-        for i in reps:
-            avg = 0.5 * (d[i] + d[partner[i]])
-            d[i] = d[partner[i]] = avg
+        d = 0.5 * (d + d[partner])
         slope = float(grad @ d)
-        # warm start: retry near the last accepted step instead of step_init
-        step = min(cfg.step_init, last_step / cfg.step_shrink)
+        # warm start: retry near the last accepted step instead of STEP_INIT
+        step = min(STEP_INIT, last_step / STEP_SHRINK)
         accepted = False
         while step > 1e-18:
             x_new = x + step * d
@@ -281,10 +273,10 @@ def solve_dual_minkowski(mu, cfg):
                 # orders of magnitude apart); the line search rejects it
                 atoms_new = np.full(len(x_new), np.nan)
             phi_new = phi_from_atoms(x_new, atoms_new)
-            if phi_new >= phi + cfg.armijo * step * slope:
+            if phi_new >= phi + ARMIJO * step * slope:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             message = "line search stalled"
             step_trace.append(0.0)
@@ -305,11 +297,3 @@ def solve_dual_minkowski(mu, cfg):
                         message=message, residual_trace=residual_trace,
                         step_trace=step_trace)
 
-
-def _pair_partners(mu, reps, tol=1e-9):
-    partner = {}
-    for i in range(len(mu.dirs)):
-        d = np.linalg.norm(mu.dirs + mu.dirs[i], axis=1)
-        j = int(np.argmin(d))
-        partner[i] = j
-    return partner

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from dualcurve import (Ball, Ellipsoid, GeometryError, HPolytope, VPolytope,
                        body_from_dict, convex_hull_of_radial, dual_curvature,
-                       polar, radial_sum_ball, wulff_polar_identity_check,
-                       wulff_shape)
+                       polar, radial_sum_ball, sphere_rule,
+                       wulff_polar_identity_check, wulff_shape)
 
 from conftest import axis_box, cube, random_symmetric_polytope
 
@@ -295,6 +295,24 @@ def test_origin_on_boundary_refused(dim):
         VPolytope(pts, validate=False)
     with pytest.raises(GeometryError):
         VPolytope(pts, validate=False, assume_extreme=True).to_hpolytope()
+
+
+CROSS_4D = np.vstack([np.eye(4), -np.eye(4)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HPolytope(CROSS_4D, np.ones(8)),  # the 4-cube
+    lambda: VPolytope(CROSS_4D),  # the 4-d cross-polytope
+    lambda: VPolytope(CROSS_4D, validate=False, assume_extreme=True),
+    lambda: Ball(1.0, 4),
+    lambda: Ball(1.0, 1),
+    lambda: Ellipsoid(np.array([1.0, 2.0, 3.0, 4.0])),
+    lambda: sphere_rule(4, 10),
+], ids=["hpolytope-4", "vpolytope-4", "vpolytope-4-deferred", "ball-4", "ball-1",
+        "ellipsoid-4", "sphere-rule-4"])
+def test_dimensions_other_than_2_and_3_refused(build):
+    with pytest.raises(GeometryError):
+        build()
 
 
 # -- hull geometry -------------------------------------------------------

@@ -2,11 +2,13 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dualcurve
 from dualcurve import DiscreteSphericalMeasure, dual_curvature
 from dualcurve.body_core import body_from_dict
 from dualcurve.cli import main
@@ -84,6 +86,16 @@ def test_compute_rejects_invalid_body(runner, tmp_path):
         "normals": [[1.0, 0.0], [0.0, 1.0]], "offsets": [1.0, 1.0],
     })
     assert runner.invoke(main, ["compute", bad, "--q", "1"]).exit_code == 2
+
+
+def test_compute_refuses_4d_body(runner, tmp_path):
+    tesseract = _write(tmp_path, "tesseract.json", {
+        "type": "hpolytope", "dim": 4,
+        "normals": np.vstack([np.eye(4), -np.eye(4)]).tolist(), "offsets": [1.0] * 8,
+    })
+    res = runner.invoke(main, ["compute", tesseract, "--q", "1"])
+    assert res.exit_code == 2
+    assert "dimension 4" in res.output
 
 
 def test_solve_round_trip(runner, tmp_path):
@@ -209,3 +221,13 @@ def test_console_script_installed():
     assert proc.returncode == 0
     for cmd in ("compute", "solve", "check-smi", "verify", "steiner"):
         assert cmd in proc.stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats took about a third of the package's import time
+    src = str(Path(dualcurve.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import dualcurve; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dualcurve import (Ellipsoid, GeometryError, cone_partition, radial_gauss,
-                       radial_gauss_batch, reverse_radial_gauss_smooth)
-from dualcurve.gauss_maps import (cell_quadrature, cell_solid_angles_mc,
-                                  radial_batch, radial_gauss_index)
+                       radial_gauss_batch, reverse_radial_gauss_smooth,
+                       spherical_polygon_rule)
+from dualcurve.gauss_maps import radial_batch, radial_gauss_index
 
 from conftest import cube, random_symmetric_polytope
 
@@ -98,17 +98,9 @@ def test_cube_cell_solid_angle():
 def test_cell_quadrature_integrates_rho(rng):
     p = cube()
     cell = cone_partition(p)[4]
-    rule = cell_quadrature(cell, degree=8, subdiv=3)
+    rule = spherical_polygon_rule(cell.apex_rays, degree=8, subdiv=3)
     # rho^0 over the cell is its solid angle
     assert rule.weights.sum() == pytest.approx(4 * math.pi / 6, rel=1e-7)
-
-
-def test_cell_solid_angles_mc_close_to_exact():
-    p = cube()
-    exact = np.full(6, 4 * math.pi / 6)
-    mc = cell_solid_angles_mc(p, level=14)
-    np.testing.assert_allclose(mc, exact, rtol=5e-2)
-    assert mc.sum() == pytest.approx(4 * math.pi, rel=1e-9)
 
 
 def test_reverse_radial_gauss_smooth_ellipsoid():
