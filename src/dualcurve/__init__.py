@@ -13,9 +13,8 @@ from .measures import (DiscreteSphericalMeasure, cone_volume_measure,
                        intersect_hpolytopes, lp_surface_area_measure,
                        measure_l1, measure_max_discrepancy,
                        surface_area_measure, valuation_check)
-from .quadrature import (arc_integral, facet_rule, sphere_area, sphere_rule,
-                         spherical_polygon_rule, spherical_triangle_excess,
-                         unit_ball_volume)
+from .quadrature import (sphere_area, sphere_rule, spherical_polygon_rule,
+                         spherical_triangle_excess, unit_ball_volume)
 from .solver import (FeasibilityResult, SolverConfig, SolverReport,
                      check_subspace_mass, phi_mu, phi_gradient,
                      solve_dual_minkowski)
@@ -40,7 +39,6 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "VPolytope",
-    "arc_integral",
     "body_from_dict",
     "check_aleksandrov",
     "check_dual_variation",
@@ -55,7 +53,6 @@ __all__ = [
     "dual_curvature_q0",
     "dual_quermassintegral",
     "dual_steiner_check",
-    "facet_rule",
     "hull_of_union",
     "intersect_hpolytopes",
     "lp_surface_area_measure",

@@ -116,7 +116,8 @@ def compute(body_path, q, measure_kind, p, out):
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 @click.option("--max-iter", type=int, default=10000, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="write the solution body JSON here")
-@click.option("--trace", type=click.Path(), default=None, help="write iter,phi,residual,step CSV here")
+@click.option("--trace", type=click.Path(), default=None,
+              help="write iter,phi,residual,step,direction CSV here, one row per iteration")
 def solve(measure_path, q, tol, max_iter, out, trace):
     """Solve for a body whose dual curvature measure is MEASURE_PATH."""
     mu = _load_measure(measure_path)
@@ -126,20 +127,23 @@ def solve(measure_path, q, tol, max_iter, out, trace):
     except GeometryError as exc:
         _fail(str(exc))
     if trace and report.feasible:
+        # row k: the iterate the k-th step starts from, with that step
         with open(trace, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iter", "phi", "residual", "step"])
-            for k, res in enumerate(report.residual_trace):
-                phi = report.phi_trace[min(k, len(report.phi_trace) - 1)]
-                step = report.step_trace[k] if k < len(report.step_trace) else 0.0
-                writer.writerow([k, f"{phi:.12g}", f"{res:.12g}", f"{step:.12g}"])
+            writer.writerow(["iter", "phi", "residual", "step", "direction"])
+            for k, direction in enumerate(report.direction_trace):
+                writer.writerow([k, f"{report.phi_trace[k]:.12g}",
+                                 f"{report.residual_trace[k]:.12g}",
+                                 f"{report.step_trace[k]:.12g}", direction])
     if not report.feasible:
         _fail("measure violates the subspace mass bound", EXIT_INFEASIBLE)
     if out and report.body is not None:
         _emit(report.body.to_dict(), out)
     summary = {
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
         "iterations": report.iterations,
+        "evaluations": report.evaluations,
         "residual": report.residual,
         "phi": report.phi_trace[-1] if report.phi_trace else None,
     }

@@ -173,17 +173,28 @@ def _sec_arc_rule(lo, hi, npts):
     return np.arctan(np.sinh(w)), dw / np.cosh(w)
 
 
-_GL_CACHE = {}
+_PANEL_CACHE = {}
 # rows per block of the (edge, node) arrays of _atoms_3d_radial: at 128
 # nodes a row, each temporary stays at 64 KB, inside the cache and small
 # enough for the allocator to reuse instead of mapping fresh pages per call
 EDGE_BLOCK = 64
 
 
-def _gauss_nodes(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+def _panel_rule(lo, hi, n_nodes, n_panels):
+    """Gauss nodes and weights on n_panels equal panels of each row's
+    interval [lo, hi], as (rows, n_panels * n_nodes) arrays.  The nodes'
+    places in [0, 1] and their Gauss weights are built once per size."""
+    key = (n_nodes, n_panels)
+    if key not in _PANEL_CACHE:
+        gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
+        offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
+        gw = np.tile(gl_w, n_panels)
+        offs.flags.writeable = gw.flags.writeable = False
+        _PANEL_CACHE[key] = offs, gw
+    offs, gw = _PANEL_CACHE[key]
+    nodes = lo[:, None] + (hi - lo)[:, None] * offs[None, :]
+    wts = (hi - lo)[:, None] * gw[None, :] / (2.0 * n_panels)
+    return nodes, wts
 
 
 def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
@@ -203,7 +214,6 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     sign +1 when the foot is on the facet's side of the edge, that is when
     h_i v_i . v_j < h_j for the edge's other facet j.
     """
-    gl_x, gl_w = _gauss_nodes(n_nodes)
     h, v = P.offsets, P.normals
     fid, other, ia, ib = P._polar.edges
     hh = h[fid]
@@ -220,22 +230,18 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     inside = hh * np.einsum("ej,ej->e", v[fid], v[other]) < h[other]
     wa = np.arcsinh(ta / m)
     wb = np.arcsinh((ta + elen) / m)
-    # n_panels equal panels per edge, Gauss nodes in each
-    offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
-    gw = np.tile(gl_w, n_panels)
     sums = np.empty(len(wa))
     for lo in range(0, len(wa), EDGE_BLOCK):
         b = slice(lo, lo + EDGE_BLOCK)
-        sums[b] = _wedge_sums(q, wa[b], wb[b], m[b], hh[b], offs, gw, n_panels)
+        sums[b] = _wedge_sums(q, wa[b], wb[b], m[b], hh[b], n_nodes, n_panels)
     vals = np.where(inside, 1.0, -1.0) * sums
     return np.bincount(fid, hh * vals / 3.0, minlength=len(h))
 
 
-def _wedge_sums(q, wa, wb, m, hh, offs, gw, n_panels):
+def _wedge_sums(q, wa, wb, m, hh, n_nodes, n_panels):
     """Gauss sums of the wedge integrals of (edge, facet) rows of
     _atoms_3d_radial, from w = wa to wb at distance m from the foot."""
-    nodes = wa[:, None] + (wb - wa)[:, None] * offs[None, :]
-    wts = (wb - wa)[:, None] * gw[None, :] / (2.0 * n_panels)
+    nodes, wts = _panel_rule(wa, wb, n_nodes, n_panels)
     # s2 = cosh^2 = 1 + sinh^2 and r2 = m^2 s2; the (edge, node) arrays are
     # updated in place, which saves a third of the time at 48 halfspaces
     s2 = np.sinh(nodes)
@@ -269,12 +275,8 @@ def _atoms_2d_arc(P, q, n_nodes=16, n_panels=4):
     edge i becomes (h^q/2) int cosh(w)^(q-1) dw under w = asinh(tan theta),
     which is analytic and panel-friendly; exact for q in {1, 2}.
     """
-    gl_x, gl_w = _gauss_nodes(n_nodes)
     ids, lo, hi = _arcs_2d(P)
-    lo, hi = np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi))
-    offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
-    nodes = lo[:, None] + (hi - lo)[:, None] * offs[None, :]
-    wts = (hi - lo)[:, None] * np.tile(gl_w, n_panels)[None, :] / (2.0 * n_panels)
+    nodes, wts = _panel_rule(np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi)), n_nodes, n_panels)
     vals = (wts * np.cosh(nodes) ** (q - 1.0)).sum(axis=1)
     atoms = np.zeros(len(P.normals))
     np.add.at(atoms, ids, 0.5 * P.offsets[ids] ** q * vals)
@@ -291,6 +293,54 @@ def _atoms(P, q):
     if P.dim == 2:
         return _atoms_2d_arc(P, q)
     return _atoms_3d_radial(P, q)
+
+
+def _atom_jacobian(P, q, atoms, n_nodes=16, n_panels=4):
+    """d atom_i / d log h_j of an H-polytope, given its atoms: the second
+    variation of the dual quermassintegral, whose first variation the atoms
+    are (Huang, Lutwak, Yang & Zhang, Acta Math. 216, 2016).
+
+    Raising h_j moves plane j out and widens facet i by a strip of width
+    dh_j / sin(theta_ij) along their shared edge, so for adjacent facets
+
+        J_ij = h_i h_j / (n sin theta_ij) * int over F_i n F_j of |x|^(q-n) ds,
+
+    and J_ij = 0 for facets that share no edge.  In 2-d the edge is the
+    shared vertex p and the integral is |p|^(q-2).  In 3-d, along a line at
+    distance D from 0 with t = D sinh(w), it is D^(q-2) int cosh^(q-2)(w) dw,
+    analytic in w, in Gauss panels.  The atoms are homogeneous of degree q,
+    so J_ii = q a_i - sum_(j != i) J_ij: J is exactly symmetric, each row
+    sums to q a_i, and a halfspace with an empty facet has a zero row.
+    """
+    h, v = P.offsets, P.normals
+    m, n = v.shape
+    g = P._polar
+    x = P.vertices
+    if n == 2:
+        # each vertex lies on exactly two nonempty facets
+        order = np.argsort(g.ver, kind="stable")
+        i, j = g.fac[order].reshape(-1, 2).T
+        vals = np.linalg.norm(x[g.ver[order][::2]], axis=1) ** (q - 2.0)
+        sin = np.abs(v[i, 0] * v[j, 1] - v[i, 1] * v[j, 0])
+    else:
+        i, j, ia, ib = g.edges
+        keep = (i < j) & g.full[j]
+        i, j, ia, ib = i[keep], j[keep], ia[keep], ib[keep]
+        edge = x[ib] - x[ia]
+        elen = np.linalg.norm(edge, axis=1)
+        edge /= elen[:, None]
+        dist = np.linalg.norm(np.cross(x[ia], edge), axis=1)
+        ta = np.einsum("ej,ej->e", x[ia], edge)
+        nodes, wts = _panel_rule(np.arcsinh(ta / dist), np.arcsinh((ta + elen) / dist),
+                                 n_nodes, n_panels)
+        vals = dist ** (q - 2.0) * (wts * np.cosh(nodes) ** (q - 2.0)).sum(axis=1)
+        sin = np.linalg.norm(np.cross(v[i], v[j]), axis=1)
+    vals *= h[i] * h[j] / (n * sin)
+    J = np.zeros((m, m))
+    J[i, j] = vals
+    J[j, i] = vals
+    J[np.diag_indices(m)] = q * atoms - J.sum(axis=1)
+    return J
 
 
 def _require_hpolytope(body):

@@ -1,10 +1,9 @@
-"""Numerical integration on spheres, circular arcs, and polytope facets."""
+"""Numerical integration on spheres and circular arcs."""
 
 import functools
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.special import roots_jacobi, roots_legendre
 
 from .body_core import GeometryError, require_dim, unit
@@ -77,14 +76,6 @@ def sphere_rule(n, level):
     return SphereQuadrature(3, nodes, weights)
 
 
-def arc_integral(f, theta_lo, theta_hi, tol=1e-10):
-    """Adaptive integral of f(theta) over [theta_lo, theta_hi]."""
-    if theta_hi < theta_lo:
-        raise GeometryError("empty arc")
-    val, _ = integrate.quad(f, theta_lo, theta_hi, epsabs=tol, epsrel=tol, limit=200)
-    return float(val)
-
-
 def arc_rule(theta_lo, theta_hi, npts=48):
     """Fixed Gauss-Legendre nodes/weights on an angle interval.
 
@@ -101,26 +92,6 @@ def arc_rule(theta_lo, theta_hi, npts=48):
         ths.append(0.5 * (b - a) * x + 0.5 * (a + b))
         wts.append(0.5 * (b - a) * w)
     return np.concatenate(ths), np.concatenate(wts)
-
-
-class FacetQuadrature:
-    """Points on a flat facet with H^{n-1} weights summing to its area."""
-
-    def __init__(self, points, weights):
-        self.points = np.asarray(points, float)
-        self.weights = np.asarray(weights, float)
-        self.points.flags.writeable = False
-        self.weights.flags.writeable = False
-
-    @property
-    def area(self):
-        return float(self.weights.sum())
-
-    def integrate(self, f):
-        return float(self.weights @ np.asarray(f(self.points), float))
-
-    def __len__(self):
-        return len(self.weights)
 
 
 @functools.cache
@@ -191,34 +162,6 @@ def triangles_to_quadrature(tris, degree, subdiv=0):
     wts = jac[:, None] * w[None, :]
     k = len(w)
     return pts.reshape(-1, tris.shape[2]), wts.ravel(), np.repeat(idx, k)
-
-
-def facet_rule(facet_vertices, degree=8, subdiv=0):
-    """Quadrature over a flat convex facet given its ordered vertex cycle.
-
-    Fan triangulation from the first vertex, then a degree-exact rule on
-    each (optionally refined) triangle.  Vertices must be coplanar within
-    1e-9; segments (two points) get a Gauss-Legendre rule.
-    """
-    verts = np.atleast_2d(np.asarray(facet_vertices, float))
-    k, d = verts.shape
-    if k < 2:
-        raise GeometryError("invalid facet: need at least 2 vertices")
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    if k == 2:
-        x, w = _legendre(max(2, (degree + 2) // 2))
-        a, b = verts
-        pts = a + np.outer(0.5 * (x + 1.0), b - a)
-        wts = 0.5 * np.linalg.norm(b - a) * w
-        return FacetQuadrature(pts, wts)
-    c = verts.mean(axis=0)
-    centered = verts - c
-    _, s, _ = np.linalg.svd(centered, full_matrices=False)
-    if len(s) > 2 and s[2] > 1e-9 * scale:
-        raise GeometryError("invalid facet: vertices are not coplanar")
-    tris = np.stack([np.repeat(verts[0][None], k - 2, axis=0), verts[1:-1], verts[2:]], axis=1)
-    pts, wts, _ = triangles_to_quadrature(tris, degree, subdiv)
-    return FacetQuadrature(pts, wts)
 
 
 def spherical_triangle_excess(a, b, c):

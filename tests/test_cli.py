@@ -111,8 +111,32 @@ def test_solve_round_trip(runner, tmp_path):
     assert body.symmetric and body.dim == 3
     with open(trace) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "phi", "residual", "step"]
+    assert rows[0] == ["iter", "phi", "residual", "step", "direction"]
     assert len(rows) == summary["iterations"] + 1
+    phis = [float(r[1]) for r in rows[1:]]
+    assert phis == sorted(phis)
+
+
+def test_solve_summary_and_trace_name_each_direction(runner, tmp_path):
+    # lopsided weights put the optimum away from the h = 1 start
+    mu = DiscreteSphericalMeasure(
+        np.vstack([np.eye(3), -np.eye(3)]),
+        np.array([5.0, 1.0, 0.7, 5.0, 1.0, 0.7]))
+    path = _write(tmp_path, "aniso.json", mu.to_dict())
+    trace = str(tmp_path / "trace.csv")
+    res = runner.invoke(main, ["solve", path, "--q", "1", "--trace", trace])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(res.output)
+    assert summary["stop_reason"] == "converged"
+    assert summary["iterations"] >= 1
+    # the start, one trial per iteration at least, and the rescaled result
+    assert summary["evaluations"] >= summary["iterations"] + 2
+    with open(trace) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == summary["iterations"] + 1
+    assert [int(r[0]) for r in rows[1:]] == list(range(summary["iterations"]))
+    assert {r[4] for r in rows[1:]} <= {"newton", "fallback"}
+    assert all(float(r[3]) > 0 for r in rows[1:])
     phis = [float(r[1]) for r in rows[1:]]
     assert phis == sorted(phis)
 
@@ -223,11 +247,23 @@ def test_console_script_installed():
         assert cmd in proc.stdout
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats took about a third of the package's import time
+def _loaded_by_import(module):
+    """Whether a fresh interpreter has `module` loaded after `import dualcurve`."""
     src = str(Path(dualcurve.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import dualcurve; "
-            "print('scipy.stats' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    out = proc.stdout.strip()
+    assert out in ("True", "False"), out
+    return out == "True"
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats took about a third of the package's import time
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_does_not_load_scipy_integrate():
+    # scipy.integrate took about a quarter of the package's import time
+    assert not _loaded_by_import("scipy.integrate")

@@ -15,6 +15,7 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        measure_max_discrepancy, surface_area_measure,
                        unit_ball_volume, valuation_check)
 from dualcurve.gauss_maps import cone_partition
+from dualcurve.measures import _atom_jacobian, _atoms
 
 from conftest import axis_box, cube, random_symmetric_polytope
 
@@ -173,6 +174,56 @@ def test_inactive_facet_gets_zero_atom():
     mu = dual_curvature(p, 1.5)
     assert mu.weights[4] == 0.0
     assert (mu.weights[:4] > 0).all()
+
+
+def _jacobian_bodies():
+    """Symmetric, off-centre and inactive-halfspace bodies in 2-d and 3-d."""
+    rng = np.random.default_rng(31)
+    bodies = []
+    for dim, pairs in ((2, 4), (3, 6)):
+        bodies.append((f"symmetric-{dim}d", random_symmetric_polytope(rng, dim=dim, pairs=pairs)))
+        v = rng.normal(size=(2 * pairs, dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = np.vstack([v, -v])
+        bodies.append((f"off-centre-{dim}d", HPolytope(v, rng.uniform(0.3, 2.0, len(v)))))
+        corner = np.ones(dim) / math.sqrt(dim)
+        box = axis_box(-np.ones(dim), np.linspace(1.0, 2.0, dim))
+        bodies.append((f"inactive-{dim}d", HPolytope(np.vstack([box.normals, corner]),
+                                                     np.append(box.offsets, 10.0))))
+    return bodies
+
+
+JACOBIAN_BODIES = _jacobian_bodies()
+
+
+def _central_difference_jacobian(p, q, t=1e-5):
+    m = len(p.offsets)
+    fd = np.empty((m, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = t
+        up = _atoms(p.with_offsets(p.offsets * np.exp(e)), q)
+        dn = _atoms(p.with_offsets(p.offsets * np.exp(-e)), q)
+        fd[:, j] = (up - dn) / (2 * t)
+    return fd
+
+
+@pytest.mark.parametrize("q", [-1.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("name,p", JACOBIAN_BODIES, ids=[b[0] for b in JACOBIAN_BODIES])
+def test_atom_jacobian_matches_central_differences(name, p, q):
+    atoms = _atoms(p, q)
+    jac = _atom_jacobian(p, q, atoms)
+    fd = _central_difference_jacobian(p, q)
+    assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+    assert np.array_equal(jac, jac.T)
+    # the atoms are homogeneous of degree q in the offsets
+    assert np.abs(jac.sum(axis=1) - q * atoms).max() <= 1e-12 * np.abs(q * atoms).max()
+    # adjacent facets only: a facet gains area where its neighbour moves out
+    off = jac[~np.eye(len(atoms), dtype=bool)]
+    assert (off >= 0).all()
+    if name.startswith("inactive"):
+        assert atoms[-1] == 0.0
+        assert not jac[-1].any() and not jac[:, -1].any()
 
 
 def test_surface_area_and_lp_measures():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from dualcurve import (GeometryError, arc_integral, facet_rule, sphere_area,
-                       sphere_rule, spherical_polygon_rule,
-                       spherical_triangle_excess, unit_ball_volume)
+from dualcurve import (GeometryError, sphere_area, sphere_rule,
+                       spherical_polygon_rule, spherical_triangle_excess,
+                       unit_ball_volume)
 from dualcurve.quadrature import (_legendre, arc_rule, triangle_rule,
                                   triangles_to_quadrature)
 
@@ -43,10 +44,11 @@ def test_sphere_rule_quartic_moment_3d():
     assert got == pytest.approx(4 * PI / 15, rel=1e-10)
 
 
-def test_arc_integral_closed_form():
-    val = arc_integral(lambda t: 1.0 / math.cos(t), 0.0, PI / 4)
-    assert val == pytest.approx(LOG_1P_SQRT2, abs=1e-12)
-    assert arc_integral(math.cos, -PI / 2, PI / 2) == pytest.approx(2.0, abs=1e-12)
+def test_arc_rule_closed_form():
+    th, w = arc_rule(0.0, PI / 4)
+    assert float(w @ (1.0 / np.cos(th))) == pytest.approx(LOG_1P_SQRT2, abs=1e-12)
+    th, w = arc_rule(-PI / 2, PI / 2)
+    assert float(w @ np.cos(th)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_arc_rule_matches_adaptive():
@@ -54,7 +56,8 @@ def test_arc_rule_matches_adaptive():
     th, w = arc_rule(lo, hi, npts=48)
     assert w.sum() == pytest.approx(hi - lo, rel=1e-13)
     got = float(w @ np.cos(th) ** (-0.5))
-    want = arc_integral(lambda t: math.cos(t) ** (-0.5), lo, hi)
+    want, _ = integrate.quad(lambda t: math.cos(t) ** (-0.5), lo, hi,
+                             epsabs=1e-10, epsrel=1e-10, limit=200)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -87,30 +90,6 @@ def test_triangles_to_quadrature_area_and_subdiv():
     pts2, wts2, _ = triangles_to_quadrature(tri, degree=4, subdiv=2)
     assert len(pts2) == 16 * len(pts)
     assert wts2.sum() == pytest.approx(2.0, rel=1e-13)
-
-
-def test_facet_rule_polygon_area_and_integral():
-    square = np.array([[1.0, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1]])
-    q = facet_rule(square, degree=8, subdiv=2)
-    assert q.area == pytest.approx(4.0, rel=1e-12)
-    got = q.integrate(lambda x: np.linalg.norm(x, axis=1) ** -1.0)
-    # 3 * cube atom at q = 2
-    assert got == pytest.approx(3 * 1.0578121617686904, rel=1e-9)
-
-
-def test_facet_rule_rejects_noncoplanar():
-    bad = np.array([[1.0, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 0.5]])
-    with pytest.raises(GeometryError):
-        facet_rule(bad)
-
-
-def test_facet_rule_segment():
-    seg = np.array([[1.0, -1.0], [1.0, 1.0]])
-    q = facet_rule(seg, degree=8)
-    assert q.area == pytest.approx(2.0, rel=1e-14)
-    got = q.integrate(lambda x: np.linalg.norm(x, axis=1) ** 2)
-    # int_{-1}^{1} (1 + t^2) dt = 8/3
-    assert got == pytest.approx(8.0 / 3.0, rel=1e-13)
 
 
 def test_spherical_triangle_excess_octant():

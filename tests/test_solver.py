@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dualcurve import (DiscreteSphericalMeasure, GeometryError, SolverConfig,
                        check_subspace_mass, dual_curvature, measure_l1,
                        phi_gradient, phi_mu, solve_dual_minkowski)
+from dualcurve import solver
 from dualcurve.cli import _round_tree, main
 from dualcurve.solver import (FeasibilityResult, SubspaceQuery, _mass_bound,
                               _pair_representatives)
@@ -140,8 +141,14 @@ def test_q_equals_n_bound_is_d_over_n():
     assert feas.bound == pytest.approx(1.0 / 3.0)
 
 
+def _contains(sub, v, tol=1e-9):
+    """Whether v lies in the subspace, within tol."""
+    resid = v - sub.basis.T @ (sub.basis @ v)
+    return np.linalg.norm(resid) <= tol
+
+
 def _subspace_mass_reference(mu, q):
-    """check_subspace_mass as one contains() call per atom and subset."""
+    """check_subspace_mass as one membership test per atom and subset."""
     total = mu.total
     n = mu.dim
     reps = _pair_representatives(mu)
@@ -153,7 +160,7 @@ def _subspace_mass_reference(mu, q):
             if np.linalg.matrix_rank(basis, tol=1e-10) < d:
                 continue
             sub = SubspaceQuery(basis)
-            mass = sum(w for v, w in zip(mu.dirs, mu.weights) if sub.contains(v))
+            mass = sum(w for v, w in zip(mu.dirs, mu.weights) if _contains(sub, v))
             ratio = mass / total
             if bound - ratio < worst.bound - worst.ratio:
                 worst = FeasibilityResult(ratio < bound - 1e-12, ratio, bound, sub)
@@ -314,3 +321,70 @@ def test_solver_handles_anisotropic_weights():
     assert measure_l1(got, mu) / mu.total <= 1e-3
     # lighter atoms let their facets drift far out; heavy ones pull close
     assert rep.body.offsets[0] < rep.body.offsets[2]
+
+
+def _criterion_8_measures():
+    """The 140 (measure, q) pairs of acceptance criterion 8, drawn the same way."""
+    rng = np.random.default_rng(8)
+    for n in (2, 3):
+        for q in dict.fromkeys((0.5, 1.0, 2.0, float(n))):
+            done = 0
+            while done < 20:
+                pairs = int(rng.integers(3, 6)) if n == 2 else int(rng.integers(4, 7))
+                p = random_symmetric_polytope(rng, dim=n, pairs=pairs)
+                mu = _measure_of(p, q)
+                if not check_subspace_mass(mu, q).feasible:
+                    continue
+                yield mu, q
+                done += 1
+
+
+def test_criterion_8_measures_converge_in_few_newton_iterations():
+    count = 0
+    for mu, q in _criterion_8_measures():
+        rep = solve_dual_minkowski(mu, SolverConfig(q=q, tol=1e-4))
+        assert rep.converged and rep.stop_reason == "converged", (mu, q, rep)
+        assert rep.iterations <= 30, (mu, q, rep)
+        assert rep.newton_steps + rep.fallback_steps == rep.iterations
+        assert len(rep.direction_trace) == len(rep.step_trace) == rep.iterations
+        assert rep.evaluations == rep.iterations + rep.rejected_trials + 2
+        count += 1
+    assert count == 140
+
+
+def test_empty_facet_mid_solve_takes_the_fallback(monkeypatch):
+    # four random pairs in the plane at q = 1: a Newton step empties a facet,
+    # which only the log-mismatch direction brings back
+    rng = np.random.default_rng(8)
+    _, mu = _feasible_instance(rng, 1.0, dim=2, pairs=4)
+    empty = []
+    newton = solver._newton_direction
+
+    def spy(body, q, atoms, grad, pmat):
+        empty.append(not (atoms > 0).all())
+        return newton(body, q, atoms, grad, pmat)
+
+    monkeypatch.setattr(solver, "_newton_direction", spy)
+    rep = solve_dual_minkowski(mu, SolverConfig(q=1.0, tol=1e-6))
+    assert any(empty)
+    assert rep.fallback_steps >= 1
+    assert rep.converged and rep.stop_reason == "converged"
+    assert rep.newton_steps + rep.fallback_steps == rep.iterations
+    assert [d == "fallback" for d in rep.direction_trace] == empty
+    assert (np.diff(rep.phi_trace) >= -1e-12).all()
+    assert rep.residual <= 1e-5
+
+
+def test_stop_reasons():
+    dirs = np.vstack([np.eye(3), -np.eye(3)])
+    mu = DiscreteSphericalMeasure(dirs, np.array([5.0, 1.0, 0.7, 5.0, 1.0, 0.7]))
+    capped = solve_dual_minkowski(mu, SolverConfig(q=1.0, tol=1e-12, max_iter=1))
+    assert capped.stop_reason == "max_iter" and capped.iterations == 1
+    assert capped.message == "max_iter exceeded"
+    done = solve_dual_minkowski(mu, SolverConfig(q=1.0))
+    assert done.stop_reason == "converged" and done.message == ""
+    flat = DiscreteSphericalMeasure(dirs[[0, 1, 3, 4]], np.ones(4))
+    refused = solve_dual_minkowski(flat, SolverConfig(q=2.0))
+    assert refused.stop_reason == "infeasible"
+    assert refused.message == "subspace mass bound violated"
+    assert refused.evaluations == 0
