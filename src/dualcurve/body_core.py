@@ -20,7 +20,7 @@ import copy
 import functools
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 MERGE_TOL = 1e-9
 INTERIOR_TOL = 1e-12
@@ -36,14 +36,21 @@ def require_dim(n):
         raise GeometryError(f"dimension {n} is not served: n must be 2 or 3")
 
 
-def antipodes(dirs, tol=1e-9):
-    """Index of the direction within tol of -v for each direction v, or None
-    when some direction has no antipode."""
-    d = np.linalg.norm(dirs[None, :, :] + dirs[:, None, :], axis=2)
-    j = d.argmin(axis=1)
-    if (d[np.arange(len(dirs)), j] > tol).any():
-        return None
-    return j
+def direction_pairs(dirs, tol=1e-9):
+    """One k-d tree pair query over the directions and their negatives.
+
+    Returns whether two directions lie within tol of each other, and the
+    index of the direction within tol of -v for each direction v (None
+    when some direction has no antipode).
+    """
+    m = len(dirs)
+    a, b = cKDTree(np.vstack([dirs, -dirs])).query_pairs(tol, output_type="ndarray").T
+    # a < b: a pair across the halves is an antipode, one inside a half
+    # (or its mirror in the other) two close directions
+    across = (a < m) & (b >= m)
+    j = np.full(m, -1)
+    j[a[across]] = b[across] - m
+    return not across.all(), None if (j < 0).any() else j
 
 
 def unit(v):
@@ -104,15 +111,6 @@ def _merge_simplices(hull, keys, tol):
         low = spread
     first, labels = np.unique(low, return_inverse=True)
     return labels, first
-
-
-def _require_distinct(dirs, tol=1e-9):
-    if len(dirs) < 2:
-        return
-    gap = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
-    np.fill_diagonal(gap, np.inf)
-    if gap.min() <= tol:
-        raise GeometryError("directions must be pairwise distinct")
 
 
 def _merge_points(points, tol=MERGE_TOL):
@@ -206,12 +204,12 @@ class HPolytope:
         fix = np.abs(norms - 1.0) > 1e-12
         if fix.any():
             normals[fix] /= norms[fix, None]
-        if validate:
-            _require_distinct(normals)
+        close, self.antipode = direction_pairs(normals)
+        if validate and close:
+            raise GeometryError("directions must be pairwise distinct")
         self.dim = normals.shape[1]
         self.normals = normals
         normals.flags.writeable = False
-        self.antipode = antipodes(normals)
         self._set_offsets(offsets, symmetric)
         if validate:
             self._polar  # builds the hull, which refuses an unbounded body

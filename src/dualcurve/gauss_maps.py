@@ -123,9 +123,11 @@ def cone_partition(P):
 
     Cells cover the sphere and overlap only on boundaries.  Apex rays are
     the unit vectors toward the facet's vertices: the two ends of an edge
-    for n = 2, the facet's vertex cycle for n = 3.  A cell's measure is
-    closed-form (ConeCell.solid_angle); spherical_polygon_rule on its apex
-    rays integrates over a 3-d cell.
+    for n = 2, the facet's vertex cycle for n = 3, counterclockwise about
+    the facet's normal.  A cell's measure is closed-form
+    (ConeCell.solid_angle); spherical_polygon_rule over consecutive apex
+    rays, with the cell's normal as every edge's pole, integrates over a
+    3-d cell.
     """
     cells = []
     act = P.active

@@ -12,28 +12,37 @@ wedge angle of each facet edge, all edges of all facets in one NumPy pass
 over the (edge, facet) rows of the body's Qhull hull (see body_core); in
 2-d the arc integral of sec^q becomes an analytic integrand under
 w = asinh(tan theta).  Both reach about 1e-14 with no tuning knobs.  The
-sphere-side cone integrals behind dual_quermassintegral serve as the
-independent cross-check path.  The q = 0 atoms are closed-form solid
-angles.
+q = 0 atoms are closed-form solid angles.
+
+The sphere-side integrals behind dual_quermassintegral are the
+independent cross-check path: they evaluate rho on the sphere, in 3-d on
+one signed fan triangle per (edge, facet) row about the facet's normal
+(quadrature.spherical_polygon_rule), in 2-d on Gauss panels in
+asinh(tan theta) over each arc (quadrature.arc_rule).  Each rule has a
+coarse companion on the same panels, built only when the error estimate
+is read; their difference is that estimate.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
-                        VPolytope, antipodes, as_direction)
+                        VPolytope, as_direction, direction_pairs)
 from .gauss_maps import ConeCell, cone_partition, radial_batch
-from .quadrature import (arc_rule, sphere_rule, spherical_polygon_rule,
-                         unit_ball_volume)
+from .quadrature import (FAN_COARSE_NODES, FAN_NODES, arc_rule, panel_rule,
+                         sphere_rule, spherical_polygon_rule, unit_ball_volume)
 
-DEFAULT_DEGREE = 10
-DEFAULT_SUBDIV = 3
 SMOOTH_LEVELS = {2: 10, 3: 6}
 
 
 class DiscreteSphericalMeasure:
-    """Finite Borel measure on the sphere given by weighted unit-vector atoms."""
+    """Finite Borel measure on the sphere given by weighted unit-vector atoms.
+
+    antipode[i] is the index of the atom direction -dirs[i] (None when some
+    direction has no antipode).
+    """
 
     def __init__(self, dirs, weights, even=None):
         dirs = np.atleast_2d(np.asarray(dirs, float)).copy()
@@ -48,12 +57,10 @@ class DiscreteSphericalMeasure:
             dirs[fix] /= norms[fix, None]
         if (weights < 0).any():
             raise GeometryError("weights must be nonnegative")
-        if len(dirs) > 1:
-            gap = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
-            np.fill_diagonal(gap, np.inf)
-            if gap.min() <= 1e-9:
-                raise GeometryError("atom directions must be pairwise distinct")
-        detected = self._detect_even(dirs, weights)
+        close, self.antipode = direction_pairs(dirs)
+        if close:
+            raise GeometryError("atom directions must be pairwise distinct")
+        detected = self._detect_even(self.antipode, weights)
         if even is None:
             even = detected
         elif even and not detected:
@@ -66,12 +73,11 @@ class DiscreteSphericalMeasure:
         weights.flags.writeable = False
 
     @staticmethod
-    def _detect_even(dirs, weights, tol=1e-9):
-        scale = max(1.0, float(weights.max()) if len(weights) else 1.0)
-        j = antipodes(dirs, tol)
-        if j is None:
+    def _detect_even(antipode, weights, tol=1e-9):
+        if antipode is None:
             return False
-        return bool((np.abs(weights[j] - weights) <= tol * scale).all())
+        scale = max(1.0, float(weights.max()) if len(weights) else 1.0)
+        return bool((np.abs(weights[antipode] - weights) <= tol * scale).all())
 
     @property
     def total(self):
@@ -161,40 +167,10 @@ def _arcs_2d(P):
     return ids, th[:, 0], th[:, 1]
 
 
-def _sec_arc_rule(lo, hi, npts):
-    """Gauss nodes/weights in theta on [lo, hi] inside (-pi/2, pi/2), placed
-    for integrands like sec(theta)**q.
-
-    The nodes sit in w = asinh(tan theta) with weights dw / cosh(w), so
-    sec^q(theta) d(theta) = cosh^(q-1)(w) dw is analytic in the rule's
-    variable; arcs reaching towards +-pi/2 (thin bodies) keep full accuracy.
-    """
-    w, dw = arc_rule(math.asinh(math.tan(lo)), math.asinh(math.tan(hi)), npts)
-    return np.arctan(np.sinh(w)), dw / np.cosh(w)
-
-
-_PANEL_CACHE = {}
 # rows per block of the (edge, node) arrays of _atoms_3d_radial: at 128
 # nodes a row, each temporary stays at 64 KB, inside the cache and small
 # enough for the allocator to reuse instead of mapping fresh pages per call
 EDGE_BLOCK = 64
-
-
-def _panel_rule(lo, hi, n_nodes, n_panels):
-    """Gauss nodes and weights on n_panels equal panels of each row's
-    interval [lo, hi], as (rows, n_panels * n_nodes) arrays.  The nodes'
-    places in [0, 1] and their Gauss weights are built once per size."""
-    key = (n_nodes, n_panels)
-    if key not in _PANEL_CACHE:
-        gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
-        offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
-        gw = np.tile(gl_w, n_panels)
-        offs.flags.writeable = gw.flags.writeable = False
-        _PANEL_CACHE[key] = offs, gw
-    offs, gw = _PANEL_CACHE[key]
-    nodes = lo[:, None] + (hi - lo)[:, None] * offs[None, :]
-    wts = (hi - lo)[:, None] * gw[None, :] / (2.0 * n_panels)
-    return nodes, wts
 
 
 def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
@@ -241,7 +217,7 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
 def _wedge_sums(q, wa, wb, m, hh, n_nodes, n_panels):
     """Gauss sums of the wedge integrals of (edge, facet) rows of
     _atoms_3d_radial, from w = wa to wb at distance m from the foot."""
-    nodes, wts = _panel_rule(wa, wb, n_nodes, n_panels)
+    nodes, wts = panel_rule(wa, wb, n_nodes, n_panels)
     # s2 = cosh^2 = 1 + sinh^2 and r2 = m^2 s2; the (edge, node) arrays are
     # updated in place, which saves a third of the time at 48 halfspaces
     s2 = np.sinh(nodes)
@@ -276,7 +252,7 @@ def _atoms_2d_arc(P, q, n_nodes=16, n_panels=4):
     which is analytic and panel-friendly; exact for q in {1, 2}.
     """
     ids, lo, hi = _arcs_2d(P)
-    nodes, wts = _panel_rule(np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi)), n_nodes, n_panels)
+    nodes, wts = panel_rule(np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi)), n_nodes, n_panels)
     vals = (wts * np.cosh(nodes) ** (q - 1.0)).sum(axis=1)
     atoms = np.zeros(len(P.normals))
     np.add.at(atoms, ids, 0.5 * P.offsets[ids] ** q * vals)
@@ -331,7 +307,7 @@ def _atom_jacobian(P, q, atoms, n_nodes=16, n_panels=4):
         edge /= elen[:, None]
         dist = np.linalg.norm(np.cross(x[ia], edge), axis=1)
         ta = np.einsum("ej,ej->e", x[ia], edge)
-        nodes, wts = _panel_rule(np.arcsinh(ta / dist), np.arcsinh((ta + elen) / dist),
+        nodes, wts = panel_rule(np.arcsinh(ta / dist), np.arcsinh((ta + elen) / dist),
                                  n_nodes, n_panels)
         vals = dist ** (q - 2.0) * (wts * np.cosh(nodes) ** (q - 2.0)).sum(axis=1)
         sin = np.linalg.norm(np.cross(v[i], v[j]), axis=1)
@@ -410,23 +386,74 @@ def lp_surface_area_measure(P, p):
 # -- sphere-side integrals -------------------------------------------------
 
 
-def _cone_nodes(P, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, npts=64):
-    """Spherical weights and rho values, yielded one cone cell at a time.
+# rows of the fan rule per call of spherical_polygon_rule, so the (node, 3)
+# temporaries stay small
+FAN_BLOCK = 64
 
-    The independent sphere-side path: for n=3 fan-transport rules on each
-    cell, for n=2 Gauss panels in asinh(tan theta) on each arc.  Callers sum
-    cell by cell, so memory is bounded by the largest cell's rule.
+
+def _fan_rows(P):
+    """The (edge, facet) rows of a 3-d body as fan triangles about each
+    facet's normal: the facet, and the unit rays to the edge's ends, ordered
+    counterclockwise about the normal (along v_i x v_j for the edge's other
+    facet j, which keeps facet i on the left)."""
+    fid, other, ia, ib = P._polar.edges
+    v, x = P.normals, P.vertices
+    flip = np.einsum("ej,ej->e", x[ib] - x[ia], np.cross(v[fid], v[other])) < 0.0
+    rays = x / np.linalg.norm(x, axis=1)[:, None]
+    return fid, rays[np.where(flip, ib, ia)], rays[np.where(flip, ia, ib)]
+
+
+def _cell_rho(rule, offsets, poles):
+    """rho at the nodes of a cone cell rule: offset / (u . normal)."""
+    # np.take gathers rows several times faster than fancy indexing
+    return offsets[rule.edge] / np.einsum("ij,ij->i", rule.nodes, np.take(poles, rule.edge, axis=0))
+
+
+def _cell_piece(rule, offsets, poles):
+    """A fan rule as a piece (weights, rho, coarse): coarse() gives the
+    weights and rho of its companion rule, built only when called."""
+    # hold the companion's builder, not the rule, so a piece kept for a
+    # later error estimate does not keep the rule's nodes alive
+    companion = rule.companion
+
+    def coarse():
+        c = companion()
+        return c.weights, _cell_rho(c, offsets, poles)
+
+    return rule.weights, _cell_rho(rule, offsets, poles), coarse
+
+
+def _arc_piece(P):
+    """The 2-d sphere-side rule as one piece (weights, rho, coarse): on each
+    arc, arc_rule about the arc's edge normal, where rho = h_i sec(theta);
+    coarse() gives the FAN_COARSE_NODES rule on the same panels."""
+    ids, lo, hi = _arcs_2d(P)
+
+    def rule(k):
+        theta, weights, arc = arc_rule(lo, hi, k)
+        return weights, P.offsets[ids[arc]] / np.cos(theta)
+
+    return (*rule(FAN_NODES), lambda: rule(FAN_COARSE_NODES))
+
+
+def _cone_nodes(P):
+    """Sphere-side pieces (weights, rho, coarse), coarse() giving the
+    weights and rho of the companion rule.
+
+    The independent sphere-side path.  n=3: one signed fan triangle per
+    (edge, facet) row about the facet's normal, where rho = h_i / (u . v_i)
+    (spherical_polygon_rule), FAN_BLOCK rows per piece.  n=2: the arcs of
+    _arc_piece, all in one piece.
     """
+    h, v = P.offsets, P.normals
     if P.dim == 2:
-        for i, lo, hi in zip(*_arcs_2d(P)):
-            th, w = _sec_arc_rule(lo, hi, npts)
-            yield w, P.offsets[i] / np.cos(th)
+        yield _arc_piece(P)
         return
-    for i in np.flatnonzero(P.active):
-        verts = P.facet_vertices(i)
-        rays = verts / np.linalg.norm(verts, axis=1)[:, None]
-        rule = spherical_polygon_rule(rays, degree=degree, subdiv=subdiv)
-        yield rule.weights, P.offsets[i] / (rule.nodes @ P.normals[i])
+    fid, starts, ends = _fan_rows(P)
+    for lo in range(0, len(fid), FAN_BLOCK):
+        b = slice(lo, lo + FAN_BLOCK)
+        poles = v[fid[b]]
+        yield _cell_piece(spherical_polygon_rule(poles, starts[b], ends[b]), h[fid[b]], poles)
 
 
 def _rho_batch(body, dirs):
@@ -437,32 +464,51 @@ def _rho_batch(body, dirs):
     raise GeometryError("no closed-form radial function")
 
 
-def _sphere_cells(K, degree, subdiv):
-    """The sphere-side rule of K as (weights, rho) pieces, with K's dimension.
+def _sphere_cells(K):
+    """The sphere-side rule of K as pieces (weights, rho, coarse), with K's
+    dimension; coarse() gives the weights and rho of the companion rule.
 
-    Smooth bodies take one global sphere rule; polytopes the cone cells of
-    _cone_nodes, independent of the facet-path atoms.
+    Smooth bodies take one global sphere rule, with the next level down as
+    its coarse companion; polytopes the cone cells of _cone_nodes,
+    independent of the facet-path atoms.
     """
     if isinstance(K, SmoothBody):
-        rule = sphere_rule(K.dim, SMOOTH_LEVELS[K.dim])
-        return [(rule.weights, _rho_batch(K, rule.nodes))], K.dim
+        level = SMOOTH_LEVELS[K.dim]
+
+        def at(level):
+            rule = sphere_rule(K.dim, level)
+            return rule.weights, _rho_batch(K, rule.nodes)
+
+        return [(*at(level), lambda: at(level - 1))], K.dim
     P = _require_hpolytope(K)
-    return _cone_nodes(P, degree, subdiv), P.dim
+    return _cone_nodes(P), P.dim
 
 
 class DualQuermassResult:
-    """A dual quermassintegral value with its normalized dual volume."""
+    """A dual quermassintegral value with its normalized dual volume.
 
-    def __init__(self, q, value, normalized):
+    error estimates the value's absolute error: its difference from the
+    coarse companion rule on the same panels, plus the rounding of the sum.
+    The companion costs about half the value's own rule, so it is built
+    when error is first read, by the zero-argument callable passed in.
+    """
+
+    def __init__(self, q, value, normalized, error):
         self.q = float(q)
         self.value = float(value)
         self.normalized = float(normalized)
+        self._error = error
+
+    @functools.cached_property
+    def error(self):
+        return float(self._error())
 
     def __repr__(self):
-        return f"DualQuermassResult(q={self.q}, value={self.value!r}, normalized={self.normalized!r})"
+        return (f"DualQuermassResult(q={self.q}, value={self.value!r}, "
+                f"normalized={self.normalized!r}, error={self.error!r})")
 
 
-def dual_quermassintegral(K, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV):
+def dual_quermassintegral(K, q):
     """(1/n) integral of rho^q over the sphere, with the normalized dual volume.
 
     Polytopes integrate cone-wise on the sphere side (independent of the
@@ -470,19 +516,35 @@ def dual_quermassintegral(K, q, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV):
     any real for polytopes; the normalization at q=0 is the exponential of
     the mean of log rho.
     """
-    cells, n = _sphere_cells(K, degree, subdiv)
+    cells, n = _sphere_cells(K)
     omega = unit_ball_volume(n)
+    # value, sum of |terms|, integral of log rho
+    sums = np.zeros(3)
+    companions = []
+    for w, rho, coarse in cells:
+        if q == 0:
+            sums += (w.sum(), np.abs(w).sum(), w @ np.log(rho))
+        else:
+            f = rho**q
+            sums += (w @ f, np.abs(w) @ f, 0.0)
+        companions.append(coarse)
+    value, size, log_sum = sums / n
     if q == 0:
-        sums = np.sum([(w.sum(), w @ np.log(rho)) for w, rho in cells], axis=0)
-        value = float(sums[0]) / n
-        normalized = math.exp(float(sums[1]) / (n * omega))
+        normalized = math.exp(float(log_sum) / omega)
     else:
-        value = sum(float(w @ rho**q) for w, rho in cells) / n
         normalized = (value / omega) ** (1.0 / q)
-    return DualQuermassResult(q, value, normalized)
+    # rho**q carries about |q| times rho's few ulps, and the sum of the
+    # signed terms loses up to about log2(terms) more
+    rounding = (abs(q) + 32.0) * np.finfo(float).eps * size
+
+    def error():
+        coarse = sum(float(w @ rho**q) for w, rho in (c() for c in companions)) / n
+        return abs(value - coarse) + rounding
+
+    return DualQuermassResult(q, value, normalized, error)
 
 
-def dual_area(K, q, region=None, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, npts=64):
+def dual_area(K, q, region=None):
     """(1/n) integral of rho^q over a spherical region.
 
     region=None is the whole sphere; otherwise a ConeCell or list of them
@@ -490,7 +552,7 @@ def dual_area(K, q, region=None, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, n
     the dual curvature atom of facet i.
     """
     if region is None:
-        return dual_quermassintegral(K, q, degree=degree, subdiv=subdiv).value
+        return dual_quermassintegral(K, q).value
     if isinstance(region, ConeCell):
         region = [region]
     n = K.dim
@@ -503,16 +565,19 @@ def dual_area(K, q, region=None, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV, n
             v = cell.normal
             lo = math.atan2(v[0] * a[1] - v[1] * a[0], float(v @ a))
             hi = math.atan2(v[0] * b[1] - v[1] * b[0], float(v @ b))
-            th, w = _sec_arc_rule(min(lo, hi), max(lo, hi), npts)
+            th, w, _ = arc_rule(min(lo, hi), max(lo, hi))
             total += 0.5 * cell.offset**q * float(w @ np.cos(th) ** (-q))
         else:
-            rule = spherical_polygon_rule(cell.apex_rays, degree=degree, subdiv=subdiv)
+            # the apex rays run counterclockwise about the cell's normal
+            rays = cell.apex_rays
+            poles = np.repeat(cell.normal[None], len(rays), axis=0)
+            rule = spherical_polygon_rule(poles, rays, np.roll(rays, -1, axis=0))
             rho = cell.offset / (rule.nodes @ cell.normal)
             total += float(rule.weights @ rho**q) / 3.0
     return total
 
 
-def dual_steiner_check(K, t_samples, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDIV):
+def dual_steiner_check(K, t_samples):
     """Fit the polynomial expansion of the radial-sum volume V(K + tB).
 
     Computes V at each t by direct quadrature of (rho+t)^n / n and solves
@@ -521,10 +586,11 @@ def dual_steiner_check(K, t_samples, degree=DEFAULT_DEGREE, subdiv=DEFAULT_SUBDI
     counterpart is dual_quermassintegral(K, q=i).
     """
     t_samples = np.asarray(t_samples, float)
-    cells, n = _sphere_cells(K, degree, subdiv)
+    cells, n = _sphere_cells(K)
     if len(t_samples) < n + 1:
         raise GeometryError("need at least n+1 sample values of t")
-    vols = np.sum([[float(w @ (rho + t) ** n) for t in t_samples] for w, rho in cells], axis=0) / n
+    vols = np.sum([[float(w @ (rho + t) ** n) for t in t_samples]
+                   for w, rho, _ in cells], axis=0) / n
     design = np.array([[math.comb(n, i) * t ** (n - i) for i in range(n + 1)] for t in t_samples])
     coef, *_ = np.linalg.lstsq(design, vols, rcond=None)
     return coef

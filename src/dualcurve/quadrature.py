@@ -1,12 +1,18 @@
-"""Numerical integration on spheres and circular arcs."""
+"""Numerical integration on spheres and circular arcs.
+
+Global product rules for whole spheres, Gauss panels in asinh(tan theta)
+on circular arcs, and the signed fan rule for spherical polygons: one
+triangle per oriented edge, integrated in geodesic polar coordinates
+about the edge's own pole.
+"""
 
 import functools
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_legendre
 
-from .body_core import GeometryError, require_dim, unit
+from .body_core import GeometryError, require_dim
 
 
 def unit_ball_volume(n):
@@ -30,14 +36,27 @@ def sphere_area(n):
 
 
 class SphereQuadrature:
-    """Nodes on the unit sphere with surface-measure weights."""
+    """Nodes on the unit sphere with surface-measure weights.
 
-    def __init__(self, dim, nodes, weights):
+    A rule built from edges (spherical_polygon_rule) also records the edge
+    each node belongs to, and `companion` builds its coarse companion: the
+    rule with fewer nodes on the same panels, whose difference from this one
+    estimates this rule's error.  `coarse` holds it, built on first read
+    (None for a rule without a companion).
+    """
+
+    def __init__(self, dim, nodes, weights, edge=None, companion=None):
         self.dim = int(dim)
         self.nodes = np.asarray(nodes, float)
         self.weights = np.asarray(weights, float)
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
+        self.edge = edge
+        self.companion = companion
+
+    @functools.cached_property
+    def coarse(self):
+        return None if self.companion is None else self.companion()
 
     def integrate(self, f):
         vals = np.asarray(f(self.nodes), float)
@@ -76,94 +95,6 @@ def sphere_rule(n, level):
     return SphereQuadrature(3, nodes, weights)
 
 
-def arc_rule(theta_lo, theta_hi, npts=48):
-    """Fixed Gauss-Legendre nodes/weights on an angle interval.
-
-    Arcs wider than pi/4 are split into panels so the per-panel smoothness
-    assumptions of the rule hold for integrands like sec(theta)**q.
-    """
-    width = theta_hi - theta_lo
-    panels = max(1, int(math.ceil(width / (math.pi / 4))))
-    x, w = _legendre(max(4, npts // panels))
-    ths, wts = [], []
-    for j in range(panels):
-        a = theta_lo + width * j / panels
-        b = theta_lo + width * (j + 1) / panels
-        ths.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        wts.append(0.5 * (b - a) * w)
-    return np.concatenate(ths), np.concatenate(wts)
-
-
-@functools.cache
-def triangle_rule(degree):
-    """Positive-weight rule on the reference triangle {x,y>=0, x+y<=1}.
-
-    Conical product of Gauss-Legendre and Gauss-Jacobi(1,0): exact for all
-    polynomials of total degree <= degree.  Returns (points (k,2), weights)
-    with weights summing to 1/2, built once per degree and shared read-only.
-    """
-    if degree < 1:
-        raise GeometryError("degree must be >= 1")
-    m = (degree + 2) // 2
-    p, a = _legendre(m)
-    u, b = roots_jacobi(m, 1, 0)
-    t = 0.5 * (p + 1.0)
-    x = 0.5 * (u + 1.0)
-    wt = a / 2.0
-    wx = b / 4.0
-    xs = np.repeat(x, m)
-    ys = (1.0 - xs) * np.tile(t, m)
-    ws = np.repeat(wx, m) * np.tile(wt, m)
-    pts = np.column_stack([xs, ys])
-    pts.flags.writeable = False
-    ws.flags.writeable = False
-    return pts, ws
-
-
-def _subdivide_triangles(tris, levels):
-    """Uniform 4-way refinement of an array of triangles (T, 3, d)."""
-    for _ in range(levels):
-        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-        tris = np.concatenate([
-            np.stack([a, ab, ca], axis=1),
-            np.stack([ab, b, bc], axis=1),
-            np.stack([ca, bc, c], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ])
-    return tris
-
-
-def triangles_to_quadrature(tris, degree, subdiv=0):
-    """Map the reference rule onto an array of flat triangles (T, 3, d).
-
-    Returns (points (N, d), weights (N,), tri_index (N,)): tri_index points
-    back to the original triangle before subdivision.
-    """
-    tris = np.asarray(tris, float)
-    t0 = len(tris)
-    idx = np.arange(t0)
-    for _ in range(subdiv):
-        idx = np.tile(idx, 4)
-    tris = _subdivide_triangles(tris, subdiv)
-    ref, w = triangle_rule(degree)
-    a = tris[:, 0]
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    # doubled triangle areas = Jacobians of the affine maps
-    if tris.shape[2] == 3:
-        jac = np.linalg.norm(np.cross(e1, e2), axis=1)
-    else:
-        g11 = np.einsum("ij,ij->i", e1, e1)
-        g22 = np.einsum("ij,ij->i", e2, e2)
-        g12 = np.einsum("ij,ij->i", e1, e2)
-        jac = np.sqrt(np.maximum(g11 * g22 - g12**2, 0.0))
-    pts = a[:, None, :] + ref[None, :, 0, None] * e1[:, None, :] + ref[None, :, 1, None] * e2[:, None, :]
-    wts = jac[:, None] * w[None, :]
-    k = len(w)
-    return pts.reshape(-1, tris.shape[2]), wts.ravel(), np.repeat(idx, k)
-
-
 def spherical_triangle_excess(a, b, c):
     """Area of the spherical triangle with unit-vector corners (l'Huilier)."""
     sa = _angle(b, c)
@@ -178,32 +109,147 @@ def _angle(u, v):
     return 2.0 * math.asin(min(1.0, 0.5 * np.linalg.norm(np.asarray(u) - np.asarray(v))))
 
 
-def spherical_polygon_rule(rays, degree=8, subdiv=2):
-    """Quadrature over the spherical polygon spanned by ordered unit rays.
+# Gauss nodes per panel of the arc and fan rules and of their coarse
+# companions; the panels are at most FAN_PANEL_WIDTH wide in each rule
+# variable, with at most FAN_MAX_PANELS in each direction
+FAN_NODES = 12
+FAN_COARSE_NODES = 8
+FAN_PANEL_WIDTH = 2.0
+FAN_MAX_PANELS = 8
 
-    Fan triangles from the centroid ray are taken as flat carriers; surface
-    measure transports to a flat triangle T with unit-vector corners by
-    du = (x . nu_T) |x|^{-n} dH(x).  Returns a SphereQuadrature whose
-    weights sum to the polygon's solid angle.
+
+def _panel_counts(length):
+    """Panels for intervals of the given lengths in a rule variable."""
+    return np.clip(np.ceil(np.abs(length) / FAN_PANEL_WIDTH), 1, FAN_MAX_PANELS).astype(int)
+
+
+def arc_rule(lo, hi, n_nodes=FAN_NODES):
+    """Gauss rule in theta on arcs [lo, hi] inside (-pi/2, pi/2), placed for
+    integrands like sec(theta)**q.
+
+    The nodes sit on Gauss panels in w = asinh(tan theta), n_nodes per
+    panel, with weights dw / cosh(w), so sec^q(theta) d(theta) =
+    cosh^(q-1)(w) dw is analytic in the rule's variable and arcs reaching
+    towards +-pi/2 (thin bodies) keep full accuracy.  Each arc's panel
+    count follows from its length in w.  Returns flat arrays (theta,
+    weights, arc), arc holding each node's arc.
     """
-    rays = np.atleast_2d(np.asarray(rays, float))
-    k, d = rays.shape
-    if d != 3:
-        raise GeometryError("spherical polygon rules implemented for n=3 only")
-    if k < 3:
-        raise GeometryError("need at least 3 rays")
-    hub = unit(rays.sum(axis=0))
-    tris = np.stack([np.repeat(hub[None], k, axis=0), rays, np.roll(rays, -1, axis=0)], axis=1)
-    # drop degenerate fan triangles (hub on an edge)
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    nu = np.cross(e1, e2)
-    area2 = np.linalg.norm(nu, axis=1)
-    keep = area2 > 1e-14
-    tris, nu = tris[keep], nu[keep] / area2[keep, None]
-    pts, wts, tri_idx = triangles_to_quadrature(tris, degree, subdiv)
-    r = np.linalg.norm(pts, axis=1)
-    # distance of each carrier plane from the origin
-    dist = np.abs(np.einsum("ij,ij->i", tris[:, 0], nu))
-    sw = wts * dist[tri_idx] / r**d
-    return SphereQuadrature(d, pts / r[:, None], sw)
+    wa, wb = (np.arcsinh(np.tan(np.atleast_1d(np.asarray(a, float)))) for a in (lo, hi))
+    panels = _panel_counts(wb - wa)
+    theta, weights, arc = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, int)]
+    for n in np.unique(panels):
+        g = np.flatnonzero(panels == n)
+        w, dw = panel_rule(wa[g], wb[g], n_nodes, n)
+        theta.append(np.arctan(np.sinh(w)).ravel())
+        weights.append((dw / np.cosh(w)).ravel())
+        arc.append(np.repeat(g, w.shape[1]))
+    return np.concatenate(theta), np.concatenate(weights), np.concatenate(arc)
+
+
+def spherical_polygon_rule(poles, starts, ends):
+    """Quadrature over signed spherical fan triangles, one per oriented edge.
+
+    Row k is the triangle (poles[k], starts[k], ends[k]) of unit vectors,
+    counted with the sign of det[pole, start, end].  A spherical polygon
+    whose edges run counterclockwise about a pole is the sum of its edges'
+    triangles about that pole, also when the pole lies outside it.  Each
+    edge must lie in the open hemisphere about its pole.
+
+    About the pole, in geodesic polar coordinates (theta, phi), the edge's
+    great circle is tan(theta) = tan(theta0) / cos(phi - phi0), where phi0
+    points to its nearest point.  Gauss panels sit in
+    sigma = asinh(tan(phi - phi0)) and, on each sigma node, in
+    w = asinh(tan(theta)) from the pole out to the edge.  There the surface
+    measure is tanh(w) dw dsigma / (cosh(w) cosh(sigma)) and
+    sec(theta) = cosh(w), so integrands like sec(theta)**q are analytic in
+    the rule's variables, and each row's panel counts follow from the
+    lengths of its sigma and w ranges.  Rows whose pole lies on the edge's
+    great circle span no area and get no nodes.
+
+    Returns a SphereQuadrature with FAN_NODES nodes per panel whose `edge`
+    holds each node's row; its `coarse` is the FAN_COARSE_NODES rule on the
+    same panels, built when first read.
+    """
+    poles, starts, ends = (np.atleast_2d(np.asarray(a, float)) for a in (poles, starts, ends))
+    if poles.shape[1:] != (3,) or starts.shape != poles.shape or ends.shape != poles.shape:
+        raise GeometryError("poles, starts and ends must be matching (k, 3) arrays")
+    ca = np.einsum("ij,ij->i", starts, poles)
+    cb = np.einsum("ij,ij->i", ends, poles)
+    if not ((ca > 0.0) & (cb > 0.0)).all():
+        raise GeometryError("an edge leaves the open hemisphere about its pole")
+    # gnomonic images in the tangent plane at the pole: the edge is a segment
+    za = starts / ca[:, None] - poles
+    zb = ends / cb[:, None] - poles
+    d = zb - za
+    length = np.linalg.norm(d, axis=1)
+    # signed distance from the pole to the segment's line, times its length
+    cr = np.einsum("ij,ij->i", poles, _cross(za, d))
+    rows = np.flatnonzero(np.abs(cr) > 1e-14 * length)
+    p, za, zb = poles[rows], za[rows], zb[rows]
+    dist = np.abs(cr[rows]) / length[rows]
+    # t0 points from the pole to the line's nearest point, t1 = p x t0
+    t1 = d[rows] * (np.sign(cr[rows]) / length[rows])[:, None]
+    basis = np.stack([p, _cross(t1, p), t1], axis=1)
+    sa = np.arcsinh(np.einsum("ij,ij->i", za, t1) / dist)
+    sb = np.arcsinh(np.einsum("ij,ij->i", zb, t1) / dist)
+    # w at the edge's far end, the largest on the row
+    reach = np.arcsinh(np.maximum(np.linalg.norm(za, axis=1), np.linalg.norm(zb, axis=1)))
+    panels = (rows, basis, dist, sa, sb, _panel_counts(sb - sa), _panel_counts(reach))
+    return SphereQuadrature(
+        3, *_fan_nodes(FAN_NODES, *panels),
+        companion=lambda: SphereQuadrature(3, *_fan_nodes(FAN_COARSE_NODES, *panels)))
+
+
+def _cross(a, b):
+    """Row-wise cross products of (k, 3) arrays, without np.cross's
+    per-call overhead."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
+@functools.cache
+def _panel_places(n_nodes, n_panels):
+    """Places in [0, 1] of n_nodes Gauss nodes on each of n_panels equal
+    panels, with their Gauss weights, built once per size and shared
+    read-only."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
+    offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
+    gw = np.tile(gl_w, n_panels)
+    offs.flags.writeable = gw.flags.writeable = False
+    return offs, gw
+
+
+def panel_rule(lo, hi, n_nodes, n_panels):
+    """Gauss nodes and weights on n_panels equal panels of each row's
+    interval [lo, hi], as (rows, n_panels * n_nodes) arrays."""
+    offs, gw = _panel_places(n_nodes, n_panels)
+    nodes = lo[:, None] + (hi - lo)[:, None] * offs[None, :]
+    wts = (hi - lo)[:, None] * gw[None, :] / (2.0 * n_panels)
+    return nodes, wts
+
+
+def _fan_nodes(k, rows, basis, dist, sa, sb, ns, nw):
+    """Nodes, weights and row ids of the fan rule with k Gauss nodes per
+    panel: ns panels on [sa, sb] in sigma, and on each sigma node nw panels
+    on [0, asinh(dist cosh(sigma))] in w.  basis holds each row's pole, t0
+    and t1; the rows that share their panel counts are one dense block."""
+    nodes, weights, edge = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0, int)]
+    counts = ns * (FAN_MAX_PANELS + 1) + nw
+    for c in np.unique(counts):
+        g = np.flatnonzero(counts == c)
+        sigma, w_sigma = panel_rule(sa[g], sb[g], k, ns[g[0]])
+        cs = np.cosh(sigma)
+        reach = np.arcsinh(dist[g, None] * cs).ravel()
+        w, w_w = panel_rule(np.zeros(len(reach)), reach, k, nw[g[0]])
+        w, w_w = w.reshape(sigma.shape + (-1,)), w_w.reshape(sigma.shape + (-1,))
+        # u = sech(w) pole + tanh(w) (t0 / cosh(sigma) + t1 tanh(sigma))
+        coef = np.empty(w.shape + (3,))
+        sech = np.reciprocal(np.cosh(w), out=coef[..., 0])
+        tw = np.tanh(w)
+        np.multiply(tw, 1.0 / cs[:, :, None], out=coef[..., 1])
+        np.multiply(tw, np.tanh(sigma)[:, :, None], out=coef[..., 2])
+        nodes.append(np.matmul(coef.reshape(len(g), -1, 3), basis[g]).reshape(-1, 3))
+        weights.append(((w_sigma / cs)[:, :, None] * w_w * tw * sech).ravel())
+        edge.append(np.repeat(rows[g], w[0].size))
+    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(edge)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .body_core import GeometryError, HPolytope, SmoothBody, antipodes, wulff_shape
+from .body_core import GeometryError, HPolytope, SmoothBody, wulff_shape
 from .measures import (DiscreteSphericalMeasure, _atom_jacobian, _atoms,
                        dual_quermassintegral)
 from .quadrature import unit_ball_volume
@@ -184,9 +184,9 @@ def _mass_bound(n, d, q):
     return 1.0 - (n - d) / ((n - 1.0) * qp)
 
 
-def _pair_representatives(mu, tol=1e-9):
+def _pair_representatives(mu):
     """The lower index of each antipodal pair of atom directions."""
-    j = antipodes(mu.dirs, tol)
+    j = mu.antipode
     if j is None:
         raise GeometryError("measure must be even")
     return [i for i in range(len(j)) if i < j[i]]

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcurve import (Ball, Ellipsoid, GeometryError, HPolytope, VPolytope,
-                       body_from_dict, convex_hull_of_radial, dual_curvature,
-                       polar, radial_sum_ball, sphere_rule,
+from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
+                       GeometryError, HPolytope, VPolytope, body_from_dict,
+                       convex_hull_of_radial, dual_curvature, polar,
+                       radial_sum_ball, sphere_rule,
                        wulff_polar_identity_check, wulff_shape)
+from dualcurve.body_core import direction_pairs
 
 from conftest import axis_box, cube, random_symmetric_polytope
 
@@ -221,6 +223,52 @@ def test_duplicate_normals_rejected():
         HPolytope(vs, np.ones(5))
     with pytest.raises(GeometryError):
         wulff_shape(vs, np.ones(5))
+
+
+def _antipodes_pairwise(dirs, tol):
+    """The (m, m) reference for the antipode index of direction_pairs."""
+    d = np.linalg.norm(dirs[None, :, :] + dirs[:, None, :], axis=2)
+    j = d.argmin(axis=1)
+    return None if (d[np.arange(len(dirs)), j] > tol).any() else j
+
+
+def _close_pair_pairwise(dirs, tol):
+    """The (m, m) reference for the close-pair test of direction_pairs."""
+    gap = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
+    np.fill_diagonal(gap, np.inf)
+    return bool(gap.min() <= tol)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_kd_tree_queries_match_pairwise_arrays(seed, dim):
+    rng = np.random.default_rng(seed)
+    tol = 1e-9
+    v = rng.normal(size=(int(rng.integers(1, 60)), dim))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    base = np.vstack([v, -v])
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        # move one antipode, and add a near twin of one direction, by just
+        # inside or just outside tol
+        t = rng.normal(size=dim)
+        t *= factor * tol / np.linalg.norm(t)
+        k = int(rng.integers(len(v)))
+        dirs = base.copy()
+        dirs[len(v) + k] += t
+        want = _antipodes_pairwise(dirs, tol)
+        close, got = direction_pairs(dirs, tol)
+        assert (got is None) == (want is None) == (factor > 1.0)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+            mu = DiscreteSphericalMeasure(dirs, np.ones(len(dirs)))
+            np.testing.assert_array_equal(mu.antipode, want)
+        assert not close and not _close_pair_pairwise(dirs, tol)
+        twins = np.vstack([dirs, dirs[k] + t])
+        close, _ = direction_pairs(twins, tol)
+        assert close == _close_pair_pairwise(twins, tol) == (factor < 1.0)
+        if factor < 1.0:
+            with pytest.raises(GeometryError, match="pairwise distinct"):
+                DiscreteSphericalMeasure(twins, np.ones(len(twins)))
 
 
 @settings(max_examples=25, deadline=None)

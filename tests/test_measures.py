@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        measure_max_discrepancy, surface_area_measure,
                        unit_ball_volume, valuation_check)
 from dualcurve.gauss_maps import cone_partition
-from dualcurve.measures import _atom_jacobian, _atoms
+from dualcurve.measures import _atom_jacobian, _atoms, _fan_rows
 
 from conftest import axis_box, cube, random_symmetric_polytope
 
@@ -91,23 +92,11 @@ THIN_BODIES = {
 THIN_QS = (-2.0, 0.5, 1.0, 2.0, 3.0, 6.0)
 
 
-def _fine_rule(name, q):
-    """Coarsest sphere rule (degree, subdiv) on the ladder (10, 3), (20, 5),
-    (20, 6) whose dual_quermassintegral agrees with the next finer one to
-    1e-9 relative, a tenth of the test's bound."""
-    if name == "off-centre":
-        return 10, 3
-    if name == "slab" and q >= 2.0:
-        return 20, 6
-    return 20, 5
-
-
 @pytest.mark.parametrize("q", THIN_QS)
 @pytest.mark.parametrize("name", list(THIN_BODIES))
 def test_thin_body_total_matches_fine_sphere_rule(name, q):
     body = THIN_BODIES[name]
-    degree, subdiv = _fine_rule(name, q)
-    want = dual_quermassintegral(body, q, degree=degree, subdiv=subdiv).value
+    want = dual_quermassintegral(body, q).value
     assert dual_curvature(body, q).total == pytest.approx(want, rel=1e-8)
 
 
@@ -328,6 +317,22 @@ def test_dual_area_2d_cell():
     assert got == pytest.approx(mu.weights[1], rel=1e-10)
 
 
+@pytest.mark.parametrize("q", [-6.0, 0.5, 12.0])
+def test_dual_area_2d_cells_of_a_thin_rectangle(q):
+    # arcs reaching towards pi/2 about their edge normal, against an
+    # adaptive integral of cosh^(q-1)(w) in w = asinh(tan theta)
+    s = axis_box([-0.01, -30.0], [5.0, 1.0])
+    for cell in cone_partition(s):
+        lo, hi = sorted(math.atan2(cell.normal[0] * r[1] - cell.normal[1] * r[0],
+                                   float(cell.normal @ r)) for r in cell.apex_rays)
+        wa, wb = math.asinh(math.tan(lo)), math.asinh(math.tan(hi))
+        cuts = np.linspace(wa, wb, 17)
+        want = 0.5 * cell.offset**q * sum(
+            integrate.quad(lambda w: math.cosh(w) ** (q - 1.0), a, b, epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in zip(cuts[:-1], cuts[1:]))
+        assert dual_area(s, q, region=cell) == pytest.approx(want, rel=1e-8)
+
+
 def test_steiner_coefficients_match_quermassintegrals(rng):
     p = random_symmetric_polytope(rng, pairs=5)
     ts = np.linspace(0.1, 1.0, 8)
@@ -426,3 +431,63 @@ def test_total_positive_and_even_property(seed):
     mu = dual_curvature(p, 1.5)
     assert mu.total > 0
     assert mu.even
+
+
+def _thin_box(r):
+    """Off-centre axis box with aspect ratios up to 1000 or more."""
+    width = np.exp(r.uniform(math.log(1e-3), math.log(50.0), size=3))
+    lo = -width * r.uniform(0.05, 0.95, size=3)
+    return axis_box(lo, lo + width)
+
+
+def _off_centre(r):
+    """10 to 200 random halfspaces, some inactive, origin off the centre."""
+    m = int(r.integers(10, 201))
+    while True:
+        v = r.normal(size=(m, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        try:
+            return HPolytope(v, r.uniform(0.2, 2.0, size=m))
+        except GeometryError:
+            continue
+
+
+def _many_facets(r):
+    """4 to 100 random antipodal pairs of halfspaces, some inactive."""
+    v = r.normal(size=(int(r.integers(4, 101)), 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    h = r.uniform(0.7, 1.5, size=len(v))
+    return HPolytope(np.vstack([v, -v]), np.concatenate([h, h]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_thin_box, _off_centre, _many_facets]),
+       st.floats(-6.0, 12.0))
+def test_sphere_total_matches_atoms_within_its_estimate(seed, make_body, q):
+    body = make_body(np.random.default_rng(seed))
+    got = dual_quermassintegral(body, q)
+    atoms = float(_atoms(body, q).sum())
+    assert abs(got.value - atoms) <= 1e-8 * atoms
+    assert abs(got.value - atoms) <= got.error
+    # rho^0 integrates to the solid angle of the whole sphere
+    ball = dual_quermassintegral(body, 0.0)
+    assert abs(ball.value - 4 * PI / 3) <= min(1e-10, ball.error)
+
+
+def test_fan_rows_orientation_sign_is_the_atoms_rule():
+    # the off-centre body has facets whose foot h_i v_i falls outside them,
+    # which makes some rows negative
+    rng = np.random.default_rng(5)
+    bodies = [random_symmetric_polytope(rng, pairs=12), _off_centre(rng),
+              axis_box([-0.05, -0.1, -0.02], [2.0, 1.0, 3.0])]
+    negative = 0
+    for body in bodies:
+        fid, other, _, _ = body._polar.edges
+        rows, starts, ends = _fan_rows(body)
+        np.testing.assert_array_equal(rows, fid)
+        h, v = body.offsets, body.normals
+        det = np.einsum("ij,ij->i", v[fid], np.cross(starts, ends))
+        rule = np.where(h[fid] * np.einsum("ij,ij->i", v[fid], v[other]) < h[other], 1.0, -1.0)
+        np.testing.assert_array_equal(np.sign(det), rule)
+        negative += int((rule < 0).sum())
+    assert negative > 0

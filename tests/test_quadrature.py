@@ -7,8 +7,7 @@ from scipy import integrate
 from dualcurve import (GeometryError, sphere_area, sphere_rule,
                        spherical_polygon_rule, spherical_triangle_excess,
                        unit_ball_volume)
-from dualcurve.quadrature import (_legendre, arc_rule, triangle_rule,
-                                  triangles_to_quadrature)
+from dualcurve.quadrature import _legendre, arc_rule
 
 # int sec over [0, pi/4] = ln(1 + sqrt 2)
 LOG_1P_SQRT2 = 0.8813735870195430
@@ -45,15 +44,22 @@ def test_sphere_rule_quartic_moment_3d():
 
 
 def test_arc_rule_closed_form():
-    th, w = arc_rule(0.0, PI / 4)
+    th, w, _ = arc_rule(0.0, PI / 4)
     assert float(w @ (1.0 / np.cos(th))) == pytest.approx(LOG_1P_SQRT2, abs=1e-12)
-    th, w = arc_rule(-PI / 2, PI / 2)
-    assert float(w @ np.cos(th)) == pytest.approx(2.0, abs=1e-12)
+    th, w, _ = arc_rule(-1.5, 1.5)
+    assert float(w @ np.cos(th)) == pytest.approx(2.0 * math.sin(1.5), abs=1e-12)
+    # an arc reaching towards pi/2, as on a thin body, and a second arc in
+    # the same call: the integral of sec^3 up to atan(t)
+    t = 100.0
+    th, w, arc = arc_rule([0.0, 0.0], [math.atan(t), PI / 4])
+    got = np.bincount(arc, weights=w / np.cos(th) ** 3)
+    want = [0.5 * (t * math.hypot(1.0, t) + math.asinh(t)), 0.5 * (math.sqrt(2) + LOG_1P_SQRT2)]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_arc_rule_matches_adaptive():
     lo, hi = -0.7, 1.1
-    th, w = arc_rule(lo, hi, npts=48)
+    th, w, _ = arc_rule(lo, hi)
     assert w.sum() == pytest.approx(hi - lo, rel=1e-13)
     got = float(w @ np.cos(th) ** (-0.5))
     want, _ = integrate.quad(lambda t: math.cos(t) ** (-0.5), lo, hi,
@@ -61,35 +67,11 @@ def test_arc_rule_matches_adaptive():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 8])
-def test_triangle_rule_monomial_exactness(degree):
-    """Reference-triangle monomial integrals are a!b!/(a+b+2)!."""
-    pts, wts = triangle_rule(degree)
-    assert (wts > 0).all()
-    assert wts.sum() == pytest.approx(0.5, rel=1e-14)
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            got = float(wts @ (pts[:, 0] ** a * pts[:, 1] ** b))
-            want = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-            assert got == pytest.approx(want, rel=1e-12), (a, b)
-
-
 def test_gauss_rules_built_once_and_read_only():
-    for rule in (lambda: triangle_rule(8), lambda: _legendre(6)):
-        first, again = rule(), rule()
-        for a, b in zip(first, again):
-            assert a is b
-            assert not a.flags.writeable
-
-
-def test_triangles_to_quadrature_area_and_subdiv():
-    tri = np.array([[[0.0, 0, 0], [2, 0, 0], [0, 2, 0]]])
-    pts, wts, idx = triangles_to_quadrature(tri, degree=4, subdiv=0)
-    assert wts.sum() == pytest.approx(2.0, rel=1e-13)
-    assert set(idx.tolist()) == {0}
-    pts2, wts2, _ = triangles_to_quadrature(tri, degree=4, subdiv=2)
-    assert len(pts2) == 16 * len(pts)
-    assert wts2.sum() == pytest.approx(2.0, rel=1e-13)
+    first, again = _legendre(6), _legendre(6)
+    for a, b in zip(first, again):
+        assert a is b
+        assert not a.flags.writeable
 
 
 def test_spherical_triangle_excess_octant():
@@ -103,9 +85,17 @@ def test_spherical_triangle_excess_degenerate():
     assert spherical_triangle_excess(a, b, b) == pytest.approx(0.0, abs=1e-12)
 
 
+def _fan(pole, rays):
+    """spherical_polygon_rule over a polygon's consecutive rays, every edge
+    fanned from one pole."""
+    rays = np.asarray(rays, float)
+    poles = np.repeat(np.asarray(pole, float)[None], len(rays), axis=0)
+    return spherical_polygon_rule(poles, rays, np.roll(rays, -1, axis=0))
+
+
 def test_spherical_polygon_rule_octant_weight():
     rays = np.eye(3)
-    rule = spherical_polygon_rule(rays, degree=8, subdiv=3)
+    rule = _fan(np.ones(3) / math.sqrt(3), rays)
     assert rule.weights.sum() == pytest.approx(PI / 2, rel=1e-6)
     np.testing.assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-12)
     # rho^0 = 1 integrates to the solid angle; rho of the unit sphere is 1
@@ -115,8 +105,54 @@ def test_spherical_polygon_rule_octant_weight():
 def test_spherical_polygon_rule_cube_cell():
     # cone cell of the +z facet of the cube: quarter window, solid angle 4*atan(sqrt2/... )
     corners = np.array([[1.0, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1]]) / math.sqrt(3)
-    rule = spherical_polygon_rule(corners, degree=8, subdiv=3)
+    rule = _fan([0.0, 0, 1], corners)
     assert rule.weights.sum() == pytest.approx(4 * PI / 6, rel=1e-7)
+
+
+def _rectangle_window(a, b):
+    """Unit rays to the corners of the rectangle [-a, a] x [-b, b] on the
+    plane z = 1, counterclockwise about e3, and its solid angle."""
+    corners = np.array([[a, b, 1.0], [-a, b, 1], [-a, -b, 1], [a, -b, 1]])
+    exact = 4 * math.asin(a * b / math.sqrt((1 + a * a) * (1 + b * b)))
+    return corners / np.linalg.norm(corners, axis=1)[:, None], exact
+
+
+def test_spherical_polygon_rule_pole_outside_polygon():
+    rays, exact = _rectangle_window(0.2, 0.3)
+    f = lambda u: (u @ np.array([0.3, -0.2, 1.0])) ** 5
+    inside = _fan([0.0, 0, 1], rays)
+    assert (inside.weights > 0).all()
+    # the pole's gnomonic image (0.5, 0) lies outside the rectangle
+    pole = np.array([0.5, 0, 1]) / math.hypot(0.5, 1)
+    outside = _fan(pole, rays)
+    assert (outside.weights < 0).any()
+    want = float(inside.weights @ f(inside.nodes))
+    for rule, rel in ((outside, 1e-12), (outside.coarse, 1e-9)):
+        assert rule.weights.sum() == pytest.approx(exact, rel=1e-12)
+        assert float(rule.weights @ f(rule.nodes)) == pytest.approx(want, rel=rel)
+    np.testing.assert_allclose(np.linalg.norm(outside.nodes, axis=1), 1.0, atol=1e-14)
+    # each edge's triangle counts with the sign of det[pole, start, end]
+    np.testing.assert_array_equal(np.unique(outside.edge), np.arange(4))
+    for k in range(4):
+        sign = np.sign(np.linalg.det(np.stack([pole, rays[k], rays[(k + 1) % 4]])))
+        assert (np.sign(outside.weights[outside.edge == k]) == sign).all()
+
+
+def test_spherical_polygon_rule_cube_cell_integrates_sec_powers():
+    # the +z facet of the cube: rho = sec(theta), and the integral of rho^3
+    # over the cell is 3 times its cone volume 4/3
+    corners = np.array([[1.0, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1]]) / math.sqrt(3)
+    rule = _fan([0.0, 0, 1], corners)
+    assert float(rule.weights @ rule.nodes[:, 2] ** -3) == pytest.approx(4.0, rel=1e-13)
+
+
+def test_spherical_polygon_rule_refuses_edges_leaving_the_hemisphere():
+    rays, _ = _rectangle_window(0.2, 0.2)
+    # the corner (-0.2, -0.2, 1) is orthogonal to this pole
+    with pytest.raises(GeometryError, match="open hemisphere"):
+        _fan(np.array([3.0, 2, 1]) / math.sqrt(14), rays)
+    with pytest.raises(GeometryError, match="open hemisphere"):
+        spherical_polygon_rule([[0.0, 0, 1]], [[1.0, 0, 0.1]], [[0.0, 1, -0.1]])
 
 
 def test_sphere_rule_levels_increase_nodes():
