@@ -14,7 +14,7 @@ from .measures import (DiscreteSphericalMeasure, cone_volume_measure,
                        measure_l1, measure_max_discrepancy,
                        surface_area_measure, valuation_check)
 from .quadrature import (sphere_area, sphere_rule, spherical_polygon_rule,
-                         spherical_triangle_excess, unit_ball_volume)
+                         unit_ball_volume)
 from .solver import (FeasibilityResult, SolverConfig, SolverReport,
                      check_subspace_mass, phi_mu, phi_gradient,
                      solve_dual_minkowski)
@@ -70,7 +70,6 @@ __all__ = [
     "sphere_area",
     "sphere_rule",
     "spherical_polygon_rule",
-    "spherical_triangle_excess",
     "surface_area_measure",
     "unit_ball_volume",
     "valuation_check",

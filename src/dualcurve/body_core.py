@@ -231,7 +231,6 @@ class HPolytope:
         self.symmetric = bool(symmetric)
         offsets.flags.writeable = False
         self._polar_hull = None
-        self._facet_ids = None
         self._areas = None
 
     # -- lazy geometry ---------------------------------------------------
@@ -246,32 +245,12 @@ class HPolytope:
     def vertices(self):
         return self._polar.vertices
 
-    def _incidence(self):
-        """facet -> ordered vertex ids; [] for empty (inactive) facets."""
-        if self._facet_ids is None:
-            g = self._polar
-            ids = np.split(g.ver, np.searchsorted(g.fac, np.arange(1, len(self.normals))))
-            self._facet_ids = [self._order_facet(sel, i) if len(sel) else sel
-                               for i, sel in enumerate(ids)]
-        return self._facet_ids
-
-    def _order_facet(self, sel, i):
-        """Order the facet's vertices around its centroid."""
-        verts = self.vertices[sel]
-        if self.dim == 2:
-            t = np.array([-self.normals[i][1], self.normals[i][0]])
-            order = np.argsort(verts @ t)
-            return sel[order]
-        v = self.normals[i]
-        t1 = _any_orthonormal(v)
-        t2 = _cross3(v, t1)
-        c = verts.mean(axis=0)
-        ang = np.arctan2((verts - c) @ t2, (verts - c) @ t1)
-        return sel[np.argsort(ang)]
-
     def facet_vertices(self, i):
-        ids = self._incidence()[i]
-        return self.vertices[ids]
+        """The vertices on facet i, in no particular order (none for an
+        empty facet)."""
+        g = self._polar
+        lo, hi = np.searchsorted(g.fac, [i, i + 1])
+        return self.vertices[g.ver[lo:hi]]
 
     @property
     def active(self):
@@ -349,19 +328,6 @@ class HPolytope:
 
     def __repr__(self):
         return f"HPolytope(dim={self.dim}, facets={len(self.normals)}, symmetric={self.symmetric})"
-
-
-def _any_orthonormal(v):
-    k = int(np.argmin(np.abs(v)))
-    e = np.zeros(len(v))
-    e[k] = 1.0
-    return unit(e - np.dot(e, v) * v)
-
-
-def _cross3(a, b):
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
 
 
 class VPolytope:

@@ -4,71 +4,82 @@ For a polytope, each facet owns the spherical cone of directions whose
 boundary ray exits through it; the map from direction to facet normal is
 single-valued off the cone boundaries and flagged non-unique on them.
 Bodies live in R^2 or R^3, where every cell measure is closed-form.
+
+Cell boundaries are read off the body's Qhull hull (see body_core) as
+oriented rows: in 3-d the (edge, facet) rows of fan_rows, in 2-d the arcs
+of arcs_2d.  The facet-side atoms and the sphere-side rules in measures
+read the same rows, and cone_partition takes every cell's solid angle
+from them in one closed-form pass.
 """
 
 import math
 
 import numpy as np
 
-from .body_core import GeometryError, HPolytope, SmoothBody, as_direction, unit
-from .quadrature import spherical_triangle_excess
+from .body_core import GeometryError, SmoothBody, as_direction, unit
 
 TIE_TOL = 1e-10
 
 
 class ConeCell:
-    """Spherical cone of one facet: all unit u with rho(u) u on that facet."""
+    """Spherical cone of one facet: all unit u with rho(u) u on that facet.
 
-    def __init__(self, facet_index, normal, apex_rays, facet_vertices, offset):
+    The cell's boundary is a set of oriented edges, rows of starts and ends
+    (unit rays): in 3-d one per edge of the facet, each running
+    counterclockwise about the normal; in 2-d the cell's one arc, from
+    starts[0] counterclockwise to ends[0].  An empty cell has no rows.
+    """
+
+    def __init__(self, facet_index, normal, offset, starts, ends, solid_angle):
         self.facet_index = int(facet_index)
         self.normal = np.asarray(normal, float)
-        self.apex_rays = np.asarray(apex_rays, float)
-        self.facet_vertices = np.asarray(facet_vertices, float)
         self.offset = float(offset)
+        self.starts = np.asarray(starts, float)
+        self.ends = np.asarray(ends, float)
+        self._solid_angle = float(solid_angle)
 
     @property
     def empty(self):
-        return len(self.apex_rays) == 0
+        return len(self.starts) == 0
+
+    @property
+    def apex_rays(self):
+        """Unit rays to the facet's vertices: the edges' starts in 3-d (one
+        per vertex, in no particular order), the arc's two ends in 2-d."""
+        if len(self.normal) == 2:
+            return np.concatenate([self.starts, self.ends])
+        return self.starts
 
     def solid_angle(self):
-        """Spherical measure of the cell.
-
-        n=2: arc width between the two vertex rays.  n=3: sum of l'Huilier
-        excesses over fan triangles from the centroid ray.  Exact up to
-        rounding; no quadrature involved.
-        """
-        if self.empty:
-            return 0.0
-        n = len(self.normal)
-        if n == 2:
-            a, b = self.apex_rays
-            return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), float(a @ b))
-        if n == 3:
-            hub = unit(self.apex_rays.sum(axis=0))
-            total = 0.0
-            k = len(self.apex_rays)
-            for j in range(k):
-                total += spherical_triangle_excess(hub, self.apex_rays[j], self.apex_rays[(j + 1) % k])
-            return total
-        raise GeometryError("closed-form solid angles implemented for n in {2, 3}")
+        """Spherical measure of the cell, closed-form (see cone_partition)."""
+        return self._solid_angle
 
     def contains(self, u, tol=1e-9):
-        """Does the boundary point in direction u lie on this facet?"""
-        u = as_direction(u)
-        d = float(u @ self.normal)
-        if d <= 0:
-            return False
-        return False if self.empty else abs(self._rho(u) * d - self.offset) <= tol * max(1.0, self.offset)
+        """Does the boundary point in direction u lie on this facet?
 
-    def _rho(self, u):
-        raise GeometryError("cell is not attached to a body")
+        u must lie in the open half-space about the normal and on the inner
+        side of every boundary edge's great circle, within tol.
+        """
+        u = as_direction(u)
+        if self.empty or float(u @ self.normal) <= 0:
+            return False
+        if len(u) == 2:
+            a, b = self.starts[0], self.ends[0]
+            side = np.array([a[0] * u[1] - a[1] * u[0], u[0] * b[1] - u[1] * b[0]])
+        else:
+            # det[start, end, u] is positive inside, as the edges run
+            # counterclockwise about the normal
+            c = np.cross(self.starts, self.ends)
+            side = (c @ u) / np.linalg.norm(c, axis=1)
+        return bool((side >= -tol).all())
 
     def to_dict(self):
         return {
             "facet_index": self.facet_index,
             "normal": [float(x) for x in self.normal],
-            "apex_rays": [[float(x) for x in r] for r in self.apex_rays],
-            "solid_angle": self.solid_angle() if len(self.normal) <= 3 and not self.empty else None,
+            "starts": [[float(x) for x in r] for r in self.starts],
+            "ends": [[float(x) for x in r] for r in self.ends],
+            "solid_angle": self._solid_angle,
         }
 
 
@@ -118,29 +129,70 @@ def radial_gauss_batch(P, dirs, tie_tol=TIE_TOL):
     return radial_batch(P.normals, P.offsets, dirs, tie_tol)
 
 
-def cone_partition(P):
-    """One ConeCell per halfspace; inactive halfspaces yield empty cells.
+def arcs_2d(P):
+    """The circle cut at the vertex rays, each arc with its edge (n=2).
 
-    Cells cover the sphere and overlap only on boundaries.  Apex rays are
-    the unit vectors toward the facet's vertices: the two ends of an edge
-    for n = 2, the facet's vertex cycle for n = 3, counterclockwise about
-    the facet's normal.  A cell's measure is closed-form
-    (ConeCell.solid_angle); spherical_polygon_rule over consecutive apex
-    rays, with the cell's normal as every edge's pole, integrates over a
-    3-d cell.
+    Returns (ids, lo, hi): the edge the radial Gauss map sends the arc's
+    midpoint to, and the arc's ends as signed angles about that edge's
+    normal, lo < hi.  The arcs are read from the vertices alone, so they
+    tile the circle with no facet incidence involved.
     """
-    cells = []
-    act = P.active
-    for i in range(len(P.normals)):
-        if not act[i]:
-            cells.append(ConeCell(i, P.normals[i], np.zeros((0, P.dim)), np.zeros((0, P.dim)), P.offsets[i]))
-            continue
-        verts = P.facet_vertices(i)
-        rays = np.array([unit(v) for v in verts])
-        cell = ConeCell(i, P.normals[i], rays, verts, P.offsets[i])
-        cell._rho = lambda u, _P=P: _P.radial(u)
-        cells.append(cell)
-    return cells
+    x = P.vertices
+    phi = np.sort(np.arctan2(x[:, 1], x[:, 0]))
+    ends = np.stack([phi, np.roll(phi, -1)], axis=1)
+    ends[-1, 1] += 2.0 * math.pi
+    mid = ends.mean(axis=1)
+    _, ids, _ = radial_batch(P.normals, P.offsets, np.column_stack([np.cos(mid), np.sin(mid)]))
+    th = ends - np.arctan2(P.normals[ids, 1], P.normals[ids, 0])[:, None]
+    th = (th + math.pi) % (2.0 * math.pi) - math.pi
+    return ids, th[:, 0], th[:, 1]
+
+
+def fan_rows(P):
+    """The (edge, facet) rows of a 3-d body as fan triangles about each
+    facet's normal: the facet, and the unit rays to the edge's ends, ordered
+    counterclockwise about the normal (along v_i x v_j for the edge's other
+    facet j, which keeps facet i on the left)."""
+    fid, other, ia, ib = P._polar.edges
+    v, x = P.normals, P.vertices
+    flip = np.einsum("ej,ej->e", x[ib] - x[ia], np.cross(v[fid], v[other])) < 0.0
+    rays = x / np.linalg.norm(x, axis=1)[:, None]
+    return fid, rays[np.where(flip, ib, ia)], rays[np.where(flip, ia, ib)]
+
+
+def cone_partition(P):
+    """One ConeCell per halfspace; a halfspace with no facet yields an
+    empty cell.
+
+    Cells cover the sphere and overlap only on boundaries.  Each cell holds
+    its boundary rows: in 3-d the facet's rows of fan_rows, in 2-d its arc
+    of arcs_2d.  All solid angles come from one pass over those rows: in
+    2-d an arc's width hi - lo; in 3-d the sum over the facet's rows of the
+    signed triangle (v, a, b) about its normal v, whose solid angle is
+    2 atan2(det[v, a, b], 1 + v.a + a.b + b.v) (Van Oosterom & Strackee,
+    IEEE Trans. Biomed. Eng. 30, 1983), taken in terms of s = a + b.
+    """
+    v = P.normals
+    m, n = v.shape
+    if n == 2:
+        fid, lo, hi = arcs_2d(P)
+        base = np.arctan2(v[fid, 1], v[fid, 0])
+        starts, ends = (np.column_stack([np.cos(base + t), np.sin(base + t)]) for t in (lo, hi))
+        angles = hi - lo
+    else:
+        fid, starts, ends = fan_rows(P)
+        w, s = v[fid], starts + ends
+        # with s = a + b, 1 + a.b = |s|^2 / 2 and det[v, a, b] = det[v, a, s]:
+        # these keep their accuracy when a and b are nearly antipodal (an
+        # edge seen from close by, on a thin body), where 1 + a.b cancels
+        det = np.einsum("ij,ij->i", w, np.cross(starts, s))
+        dots = np.einsum("ij,ij->i", w + 0.5 * s, s)
+        angles = 2.0 * np.arctan2(det, dots)
+    total = np.bincount(fid, angles, minlength=m)
+    order = np.argsort(fid, kind="stable")
+    cuts = np.searchsorted(fid[order], np.arange(1, m))
+    return [ConeCell(i, v[i], P.offsets[i], starts[rows], ends[rows], total[i])
+            for i, rows in enumerate(np.split(order, cuts))]
 
 
 def reverse_radial_gauss_smooth(K, v):

@@ -12,15 +12,18 @@ wedge angle of each facet edge, all edges of all facets in one NumPy pass
 over the (edge, facet) rows of the body's Qhull hull (see body_core); in
 2-d the arc integral of sec^q becomes an analytic integrand under
 w = asinh(tan theta).  Both reach about 1e-14 with no tuning knobs.  The
-q = 0 atoms are closed-form solid angles.
+q = 0 atoms are the closed-form solid angles of the cone cells
+(gauss_maps.cone_partition).
 
 The sphere-side integrals behind dual_quermassintegral are the
 independent cross-check path: they evaluate rho on the sphere, in 3-d on
 one signed fan triangle per (edge, facet) row about the facet's normal
-(quadrature.spherical_polygon_rule), in 2-d on Gauss panels in
-asinh(tan theta) over each arc (quadrature.arc_rule).  Each rule has a
-coarse companion on the same panels, built only when the error estimate
-is read; their difference is that estimate.
+(gauss_maps.fan_rows, quadrature.spherical_polygon_rule), in 2-d on Gauss
+panels in asinh(tan theta) over each arc (gauss_maps.arcs_2d,
+quadrature.arc_rule); dual_area over a cone cell takes the same rules on
+the cell's own rows.  Each rule has a coarse companion on the same
+panels, built only when the error estimate is read; their difference is
+that estimate.
 """
 
 import functools
@@ -30,9 +33,9 @@ import numpy as np
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
                         VPolytope, as_direction, direction_pairs)
-from .gauss_maps import ConeCell, cone_partition, radial_batch
-from .quadrature import (FAN_COARSE_NODES, FAN_NODES, arc_rule, panel_rule,
-                         sphere_rule, spherical_polygon_rule, unit_ball_volume)
+from .gauss_maps import ConeCell, arcs_2d, cone_partition, fan_rows
+from .quadrature import (FAN_COARSE_NODES, FAN_NODES, FAN_PANEL_WIDTH, arc_rule,
+                         panel_rule, sphere_rule, spherical_polygon_rule)
 
 SMOOTH_LEVELS = {2: 10, 3: 6}
 
@@ -148,25 +151,6 @@ def measure_l1(mu_a, mu_b, tol=1e-9):
 # -- polytope paths --------------------------------------------------------
 
 
-def _arcs_2d(P):
-    """The circle cut at the vertex rays, each arc with its edge (n=2).
-
-    Returns (ids, lo, hi): the edge the radial Gauss map sends the arc's
-    midpoint to, and the arc's ends as signed angles about that edge's
-    normal.  The arcs are read from the vertices alone, so they tile the
-    circle with no facet incidence involved.
-    """
-    x = P.vertices
-    phi = np.sort(np.arctan2(x[:, 1], x[:, 0]))
-    ends = np.stack([phi, np.roll(phi, -1)], axis=1)
-    ends[-1, 1] += 2.0 * math.pi
-    mid = ends.mean(axis=1)
-    _, ids, _ = radial_batch(P.normals, P.offsets, np.column_stack([np.cos(mid), np.sin(mid)]))
-    th = ends - np.arctan2(P.normals[ids, 1], P.normals[ids, 0])[:, None]
-    th = (th + math.pi) % (2.0 * math.pi) - math.pi
-    return ids, th[:, 0], th[:, 1]
-
-
 # rows per block of the (edge, node) arrays of _atoms_3d_radial: at 128
 # nodes a row, each temporary stays at 64 KB, inside the cache and small
 # enough for the allocator to reuse instead of mapping fresh pages per call
@@ -244,15 +228,19 @@ def _wedge_sums(q, wa, wb, m, hh, n_nodes, n_panels):
     return inner.sum(axis=1)
 
 
-def _atoms_2d_arc(P, q, n_nodes=16, n_panels=4):
+def _atoms_2d_arc(P, q):
     """Edge-path atoms in the plane, one Gauss sweep over all arcs.
 
     The arc integral (h^q/2) int sec^q(theta) d(theta) over the wedge of
     edge i becomes (h^q/2) int cosh(w)^(q-1) dw under w = asinh(tan theta),
-    which is analytic and panel-friendly; exact for q in {1, 2}.
+    which is analytic and panel-friendly; exact for q in {1, 2}.  Every arc
+    takes the panel count of the longest, at most FAN_PANEL_WIDTH wide in
+    w, with 16 nodes each.
     """
-    ids, lo, hi = _arcs_2d(P)
-    nodes, wts = panel_rule(np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi)), n_nodes, n_panels)
+    ids, lo, hi = arcs_2d(P)
+    wa, wb = np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi))
+    n_panels = max(1, math.ceil(float(np.max(wb - wa)) / FAN_PANEL_WIDTH))
+    nodes, wts = panel_rule(wa, wb, 16, n_panels)
     vals = (wts * np.cosh(nodes) ** (q - 1.0)).sum(axis=1)
     atoms = np.zeros(len(P.normals))
     np.add.at(atoms, ids, 0.5 * P.offsets[ids] ** q * vals)
@@ -359,7 +347,7 @@ def dual_curvature_q0(P):
     the polar body.
     """
     P = _require_hpolytope(P)
-    angles = np.array([c.solid_angle() if not c.empty else 0.0 for c in cone_partition(P)])
+    angles = np.array([c.solid_angle() for c in cone_partition(P)])
     return _facet_measure(P, angles / P.dim)
 
 
@@ -391,18 +379,6 @@ def lp_surface_area_measure(P, p):
 FAN_BLOCK = 64
 
 
-def _fan_rows(P):
-    """The (edge, facet) rows of a 3-d body as fan triangles about each
-    facet's normal: the facet, and the unit rays to the edge's ends, ordered
-    counterclockwise about the normal (along v_i x v_j for the edge's other
-    facet j, which keeps facet i on the left)."""
-    fid, other, ia, ib = P._polar.edges
-    v, x = P.normals, P.vertices
-    flip = np.einsum("ej,ej->e", x[ib] - x[ia], np.cross(v[fid], v[other])) < 0.0
-    rays = x / np.linalg.norm(x, axis=1)[:, None]
-    return fid, rays[np.where(flip, ib, ia)], rays[np.where(flip, ia, ib)]
-
-
 def _cell_rho(rule, offsets, poles):
     """rho at the nodes of a cone cell rule: offset / (u . normal)."""
     # np.take gathers rows several times faster than fancy indexing
@@ -427,7 +403,7 @@ def _arc_piece(P):
     """The 2-d sphere-side rule as one piece (weights, rho, coarse): on each
     arc, arc_rule about the arc's edge normal, where rho = h_i sec(theta);
     coarse() gives the FAN_COARSE_NODES rule on the same panels."""
-    ids, lo, hi = _arcs_2d(P)
+    ids, lo, hi = arcs_2d(P)
 
     def rule(k):
         theta, weights, arc = arc_rule(lo, hi, k)
@@ -449,7 +425,7 @@ def _cone_nodes(P):
     if P.dim == 2:
         yield _arc_piece(P)
         return
-    fid, starts, ends = _fan_rows(P)
+    fid, starts, ends = fan_rows(P)
     for lo in range(0, len(fid), FAN_BLOCK):
         b = slice(lo, lo + FAN_BLOCK)
         poles = v[fid[b]]
@@ -513,26 +489,25 @@ def dual_quermassintegral(K, q):
 
     Polytopes integrate cone-wise on the sphere side (independent of the
     facet-path atoms); smooth bodies use a global sphere rule.  q may be
-    any real for polytopes; the normalization at q=0 is the exponential of
-    the mean of log rho.
+    any real for polytopes.  The normalized dual volume is the q-th power
+    mean of rho over the sphere, exp(log1p(M) / q) with M the mean of
+    expm1(q log rho), so it does not cancel as q -> 0; at q=0 it is the
+    exponential of the mean of log rho.
     """
     cells, n = _sphere_cells(K)
-    omega = unit_ball_volume(n)
-    # value, sum of |terms|, integral of log rho
-    sums = np.zeros(3)
+    # value, sum of |terms|, total weight, integral of expm1(q log rho)
+    # (of log rho at q=0)
+    sums = np.zeros(4)
     companions = []
     for w, rho, coarse in cells:
-        if q == 0:
-            sums += (w.sum(), np.abs(w).sum(), w @ np.log(rho))
-        else:
-            f = rho**q
-            sums += (w @ f, np.abs(w) @ f, 0.0)
+        f = rho**q
+        log_rho = np.log(rho)
+        g = log_rho if q == 0 else np.expm1(q * log_rho)
+        sums += (w @ f, np.abs(w) @ f, w.sum(), w @ g)
         companions.append(coarse)
-    value, size, log_sum = sums / n
-    if q == 0:
-        normalized = math.exp(float(log_sum) / omega)
-    else:
-        normalized = (value / omega) ** (1.0 / q)
+    value, size = sums[:2] / n
+    mean = float(sums[3] / sums[2])
+    normalized = math.exp(mean if q == 0 else math.log1p(mean) / q)
     # rho**q carries about |q| times rho's few ulps, and the sum of the
     # signed terms loses up to about log2(terms) more
     rounding = (abs(q) + 32.0) * np.finfo(float).eps * size
@@ -548,31 +523,29 @@ def dual_area(K, q, region=None):
     """(1/n) integral of rho^q over a spherical region.
 
     region=None is the whole sphere; otherwise a ConeCell or list of them
-    (from this body's cone partition).  Over the cell of facet i this is
-    the dual curvature atom of facet i.
+    (from this body's cone partition), integrated over each cell's own
+    boundary rows.  Over the cell of facet i this is the dual curvature
+    atom of facet i.
     """
     if region is None:
         return dual_quermassintegral(K, q).value
     if isinstance(region, ConeCell):
         region = [region]
-    n = K.dim
     total = 0.0
     for cell in region:
         if cell.empty:
             continue
-        if n == 2:
-            a, b = cell.apex_rays
-            v = cell.normal
-            lo = math.atan2(v[0] * a[1] - v[1] * a[0], float(v @ a))
-            hi = math.atan2(v[0] * b[1] - v[1] * b[0], float(v @ b))
-            th, w, _ = arc_rule(min(lo, hi), max(lo, hi))
+        v = cell.normal
+        if K.dim == 2:
+            # the arc's ends as angles about the cell's normal
+            lo, hi = (math.atan2(v[0] * r[1] - v[1] * r[0], float(v @ r))
+                      for r in (cell.starts[0], cell.ends[0]))
+            th, w, _ = arc_rule(lo, hi)
             total += 0.5 * cell.offset**q * float(w @ np.cos(th) ** (-q))
         else:
-            # the apex rays run counterclockwise about the cell's normal
-            rays = cell.apex_rays
-            poles = np.repeat(cell.normal[None], len(rays), axis=0)
-            rule = spherical_polygon_rule(poles, rays, np.roll(rays, -1, axis=0))
-            rho = cell.offset / (rule.nodes @ cell.normal)
+            poles = np.broadcast_to(v, cell.starts.shape)
+            rule = spherical_polygon_rule(poles, cell.starts, cell.ends)
+            rho = cell.offset / (rule.nodes @ v)
             total += float(rule.weights @ rho**q) / 3.0
     return total
 

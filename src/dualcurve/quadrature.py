@@ -95,32 +95,17 @@ def sphere_rule(n, level):
     return SphereQuadrature(3, nodes, weights)
 
 
-def spherical_triangle_excess(a, b, c):
-    """Area of the spherical triangle with unit-vector corners (l'Huilier)."""
-    sa = _angle(b, c)
-    sb = _angle(a, c)
-    sc = _angle(a, b)
-    s = 0.5 * (sa + sb + sc)
-    t = math.tan(s / 2) * math.tan((s - sa) / 2) * math.tan((s - sb) / 2) * math.tan((s - sc) / 2)
-    return 4.0 * math.atan(math.sqrt(max(t, 0.0)))
-
-
-def _angle(u, v):
-    return 2.0 * math.asin(min(1.0, 0.5 * np.linalg.norm(np.asarray(u) - np.asarray(v))))
-
-
 # Gauss nodes per panel of the arc and fan rules and of their coarse
 # companions; the panels are at most FAN_PANEL_WIDTH wide in each rule
-# variable, with at most FAN_MAX_PANELS in each direction
+# variable
 FAN_NODES = 12
 FAN_COARSE_NODES = 8
 FAN_PANEL_WIDTH = 2.0
-FAN_MAX_PANELS = 8
 
 
 def _panel_counts(length):
     """Panels for intervals of the given lengths in a rule variable."""
-    return np.clip(np.ceil(np.abs(length) / FAN_PANEL_WIDTH), 1, FAN_MAX_PANELS).astype(int)
+    return np.maximum(np.ceil(np.abs(length) / FAN_PANEL_WIDTH), 1).astype(int)
 
 
 def arc_rule(lo, hi, n_nodes=FAN_NODES):
@@ -235,7 +220,8 @@ def _fan_nodes(k, rows, basis, dist, sa, sb, ns, nw):
     on [0, asinh(dist cosh(sigma))] in w.  basis holds each row's pole, t0
     and t1; the rows that share their panel counts are one dense block."""
     nodes, weights, edge = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0, int)]
-    counts = ns * (FAN_MAX_PANELS + 1) + nw
+    # one key per (ns, nw) pair
+    counts = ns * (nw.max(initial=0) + 1) + nw
     for c in np.unique(counts):
         g = np.flatnonzero(counts == c)
         sigma, w_sigma = panel_rule(sa[g], sb[g], k, ns[g[0]])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,42 @@ def axis_box(lo, hi):
 
 def cube(dim=3, half_width=1.0):
     return axis_box(-half_width * np.ones(dim), half_width * np.ones(dim))
+
+
+def spherical_triangle_excess(a, b, c):
+    """Area of the spherical triangle with unit-vector corners (l'Huilier)."""
+    sa, sb, sc = _arc(b, c), _arc(a, c), _arc(a, b)
+    s = 0.5 * (sa + sb + sc)
+    t = math.tan(s / 2) * math.tan((s - sa) / 2) * math.tan((s - sb) / 2) * math.tan((s - sc) / 2)
+    return 4.0 * math.atan(math.sqrt(max(t, 0.0)))
+
+
+def _arc(u, v):
+    return 2.0 * math.asin(min(1.0, 0.5 * np.linalg.norm(np.asarray(u) - np.asarray(v))))
+
+
+def lhuilier_solid_angles(p):
+    """Solid angle of each facet's cone cell, with no use of the hull's edge
+    rows: n=2, the angle between the rays to the edge's two vertices; n=3,
+    l'Huilier's excesses over the fan from the centroid ray, the vertices
+    ordered by angle about their centroid in the facet's plane."""
+    angles = np.zeros(len(p.normals))
+    for i, v in enumerate(p.normals):
+        rays = p.facet_vertices(i)
+        rays = rays / np.linalg.norm(rays, axis=1)[:, None]
+        if p.dim == 2 and len(rays) == 2:
+            a, b = rays
+            angles[i] = math.atan2(abs(a[0] * b[1] - a[1] * b[0]), float(a @ b))
+        elif len(rays) >= 3:
+            e = np.eye(3)[np.argmin(np.abs(v))]
+            t1 = e - (e @ v) * v
+            t2 = np.cross(v, t1)
+            d = rays - rays.mean(axis=0)
+            rays = rays[np.argsort(np.arctan2(d @ t2, d @ t1))]
+            hub = rays.sum(axis=0) / np.linalg.norm(rays.sum(axis=0))
+            angles[i] = sum(spherical_triangle_excess(hub, a, b)
+                            for a, b in zip(rays, np.roll(rays, -1, axis=0)))
+    return angles
 
 
 def random_even_measure(rng, dim=3, pairs=4, w_lo=0.2, w_hi=1.0):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import dualcurve
-from dualcurve import DiscreteSphericalMeasure, dual_curvature
+from dualcurve import DiscreteSphericalMeasure, HPolytope, VPolytope, dual_curvature
 from dualcurve.body_core import body_from_dict
-from dualcurve.cli import main
+from dualcurve.cli import _suite_variational, main
 
 from conftest import cube
 
@@ -199,6 +200,22 @@ def test_verify_variational(runner, tmp_path):
     assert all(c["pass"] for c in data["checks"])
 
 
+def test_variational_suite_independent_of_halfspace_order():
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(14, 3))
+    body = VPolytope(points - points.mean(axis=0)).to_hpolytope()
+    turn = rng.permutation(len(body.normals))
+    shuffled = HPolytope(body.normals[turn], body.offsets[turn])
+    qs = (0.0, 1.0, 2.0, 3.0)
+    want, got = (_suite_variational(b, qs, np.random.default_rng(2), 1e-4)
+                 for b in (body, shuffled))
+    assert [c["name"] for c in got] == [c["name"] for c in want]
+    # the values are relative errors of central differences at t = 1e-4,
+    # where the bodies' different rounding shows at about 1e-11
+    np.testing.assert_allclose([c["value"] for c in got], [c["value"] for c in want],
+                               rtol=0.0, atol=1e-9)
+
+
 def test_verify_valuation(runner, tmp_path):
     res = runner.invoke(main, ["verify", _cube_body(tmp_path), "--suite", "valuation"])
     assert res.exit_code == 0, res.output
@@ -239,9 +256,14 @@ def test_output_uses_12_significant_digits(runner, tmp_path):
         assert w == float(f"{w:.12g}")
 
 
+# the checkout's src directory, for fresh interpreters
+SRC = str(Path(dualcurve.__file__).resolve().parents[1])
+
+
 def test_console_script_installed():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "dualcurve.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for cmd in ("compute", "solve", "check-smi", "verify", "steiner"):
         assert cmd in proc.stdout
@@ -249,8 +271,7 @@ def test_console_script_installed():
 
 def _loaded_by_import(module):
     """Whether a fresh interpreter has `module` loaded after `import dualcurve`."""
-    src = str(Path(dualcurve.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import dualcurve; "
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import dualcurve; "
             f"print({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

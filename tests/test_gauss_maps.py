@@ -98,9 +98,8 @@ def test_cube_cell_solid_angle():
 def test_cell_quadrature_integrates_rho(rng):
     p = cube()
     cell = cone_partition(p)[4]
-    rays = cell.apex_rays
-    poles = np.repeat(cell.normal[None], len(rays), axis=0)
-    rule = spherical_polygon_rule(poles, rays, np.roll(rays, -1, axis=0))
+    poles = np.repeat(cell.normal[None], len(cell.starts), axis=0)
+    rule = spherical_polygon_rule(poles, cell.starts, cell.ends)
     # rho^0 over the cell is its solid angle
     assert rule.weights.sum() == pytest.approx(4 * math.pi / 6, rel=1e-7)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        lp_surface_area_measure, measure_l1,
                        measure_max_discrepancy, surface_area_measure,
                        unit_ball_volume, valuation_check)
-from dualcurve.gauss_maps import cone_partition
-from dualcurve.measures import _atom_jacobian, _atoms, _fan_rows
+from dualcurve.gauss_maps import cone_partition, fan_rows
+from dualcurve.measures import _atom_jacobian, _atoms
 
-from conftest import axis_box, cube, random_symmetric_polytope
+from conftest import axis_box, cube, lhuilier_solid_angles, random_symmetric_polytope
 
 PI = math.pi
 # facet integrals of |x|^(q-3) over a unit-cube face, divided by 3
@@ -261,6 +262,19 @@ def test_cube_quermassintegrals_frozen():
     assert dual_quermassintegral(p, 0.0).normalized == pytest.approx(CUBE_V0BAR, rel=1e-8)
 
 
+def test_normalized_dual_volume_continuous_through_q_equal_0():
+    p = cube()
+    limit = dual_quermassintegral(p, 0.0).normalized
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (1e-300, -1e-300, 1e-12, -1e-12):
+            assert dual_quermassintegral(p, q).normalized == pytest.approx(limit, rel=1e-14)
+    # away from 0 it is the power mean (W_q / omega)^(1/q)
+    for q in (0.5, 1.0, 3.0, -2.0):
+        got = dual_quermassintegral(p, q)
+        assert got.normalized == pytest.approx((got.value / (4 * PI / 3)) ** (1 / q), rel=1e-14)
+
+
 def test_normalized_volume_of_ball_is_radius():
     b = Ball(1.75, 3)
     for q in (0.0, 0.5, 1.0, 2.0, 3.0):
@@ -317,20 +331,45 @@ def test_dual_area_2d_cell():
     assert got == pytest.approx(mu.weights[1], rel=1e-10)
 
 
+def _arc_reference(cell, q):
+    """A 2-d cell's atom as an adaptive integral of cosh^(q-1)(w) in
+    w = asinh(tan theta), theta about the cell's normal."""
+    v = cell.normal
+    lo, hi = sorted(math.atan2(v[0] * r[1] - v[1] * r[0], float(v @ r)) for r in cell.apex_rays)
+    cuts = np.linspace(math.asinh(math.tan(lo)), math.asinh(math.tan(hi)), 17)
+    return 0.5 * cell.offset**q * sum(
+        integrate.quad(lambda w: math.cosh(w) ** (q - 1.0), a, b, epsabs=0.0, epsrel=1e-13)[0]
+        for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+# arcs reaching towards pi/2 about their edge normal
+THIN_RECTANGLES = {
+    "off-centre": axis_box([-0.01, -30.0], [5.0, 1.0]),
+    "2e-6 x 2": axis_box([-1e-6, -1.0], [1e-6, 1.0]),
+}
+
+
 @pytest.mark.parametrize("q", [-6.0, 0.5, 12.0])
 def test_dual_area_2d_cells_of_a_thin_rectangle(q):
-    # arcs reaching towards pi/2 about their edge normal, against an
-    # adaptive integral of cosh^(q-1)(w) in w = asinh(tan theta)
-    s = axis_box([-0.01, -30.0], [5.0, 1.0])
+    s = THIN_RECTANGLES["off-centre"]
     for cell in cone_partition(s):
-        lo, hi = sorted(math.atan2(cell.normal[0] * r[1] - cell.normal[1] * r[0],
-                                   float(cell.normal @ r)) for r in cell.apex_rays)
-        wa, wb = math.asinh(math.tan(lo)), math.asinh(math.tan(hi))
-        cuts = np.linspace(wa, wb, 17)
-        want = 0.5 * cell.offset**q * sum(
-            integrate.quad(lambda w: math.cosh(w) ** (q - 1.0), a, b, epsabs=0.0, epsrel=1e-13)[0]
-            for a, b in zip(cuts[:-1], cuts[1:]))
-        assert dual_area(s, q, region=cell) == pytest.approx(want, rel=1e-8)
+        assert dual_area(s, q, region=cell) == pytest.approx(_arc_reference(cell, q), rel=1e-8)
+
+
+@pytest.mark.parametrize("q", [-6.0, 0.5, 12.0])
+@pytest.mark.parametrize("name", list(THIN_RECTANGLES))
+def test_2d_atoms_of_thin_rectangles(name, q):
+    s = THIN_RECTANGLES[name]
+    want = np.array([_arc_reference(cell, q) for cell in cone_partition(s)])
+    np.testing.assert_allclose(_atoms(s, q), want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("q", [-6.0, 12.0])
+def test_sphere_total_of_a_2e_6_rectangle(q):
+    # an arc 29 long in asinh(tan theta): 15 panels of width 2
+    s = THIN_RECTANGLES["2e-6 x 2"]
+    want = sum(_arc_reference(cell, q) for cell in cone_partition(s))
+    assert dual_quermassintegral(s, q).value == pytest.approx(want, rel=1e-8)
 
 
 def test_steiner_coefficients_match_quermassintegrals(rng):
@@ -474,6 +513,41 @@ def test_sphere_total_matches_atoms_within_its_estimate(seed, make_body, q):
     assert abs(ball.value - 4 * PI / 3) <= min(1e-10, ball.error)
 
 
+def _thin_rectangle(r):
+    """Off-centre 2-d box with aspect ratios up to 1e4 or more."""
+    width = np.exp(r.uniform(math.log(1e-3), math.log(50.0), size=2))
+    lo = -width * r.uniform(0.05, 0.95, size=2)
+    return axis_box(lo, lo + width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_off_centre, _many_facets, _thin_rectangle]))
+def test_cell_solid_angles_match_lhuilier(seed, make_body):
+    body = make_body(np.random.default_rng(seed))
+    got = np.array([c.solid_angle() for c in cone_partition(body)])
+    assert np.abs(got - lhuilier_solid_angles(body)).max() <= 1e-13 * unit_ball_volume(body.dim)
+    assert got.sum() == pytest.approx(2 * PI if body.dim == 2 else 4 * PI, rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_thin_box_cell_solid_angles_match_closed_form(seed):
+    # l'Huilier's excesses over needle-shaped fan triangles are off by up
+    # to 1e-7 here; a face at distance d spanning [x1, x2] x [y1, y2] about
+    # the foot subtends F(x2, y2) - F(x1, y2) - F(x2, y1) + F(x1, y1), with
+    # F(x, y) = atan(x y / (d |(d, x, y)|))
+    body = _thin_box(np.random.default_rng(seed))
+    hi, lo = body.offsets[0::2], -body.offsets[1::2]
+    want = []
+    for k in range(3):
+        i, j = [a for a in range(3) if a != k]
+        for d in (hi[k], -lo[k]):
+            f = lambda x, y: math.atan(x * y / (d * math.hypot(d, x, y)))
+            want.append(f(hi[i], hi[j]) - f(lo[i], hi[j]) - f(hi[i], lo[j]) + f(lo[i], lo[j]))
+    got = [c.solid_angle() for c in cone_partition(body)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * unit_ball_volume(3))
+
+
 def test_fan_rows_orientation_sign_is_the_atoms_rule():
     # the off-centre body has facets whose foot h_i v_i falls outside them,
     # which makes some rows negative
@@ -483,7 +557,7 @@ def test_fan_rows_orientation_sign_is_the_atoms_rule():
     negative = 0
     for body in bodies:
         fid, other, _, _ = body._polar.edges
-        rows, starts, ends = _fan_rows(body)
+        rows, starts, ends = fan_rows(body)
         np.testing.assert_array_equal(rows, fid)
         h, v = body.offsets, body.normals
         det = np.einsum("ij,ij->i", v[fid], np.cross(starts, ends))

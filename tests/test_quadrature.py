@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate
 
 from dualcurve import (GeometryError, sphere_area, sphere_rule,
-                       spherical_polygon_rule, spherical_triangle_excess,
-                       unit_ball_volume)
+                       spherical_polygon_rule, unit_ball_volume)
 from dualcurve.quadrature import _legendre, arc_rule
+
+from conftest import spherical_triangle_excess
 
 # int sec over [0, pi/4] = ln(1 + sqrt 2)
 LOG_1P_SQRT2 = 0.8813735870195430
@@ -74,6 +75,7 @@ def test_gauss_rules_built_once_and_read_only():
         assert not a.flags.writeable
 
 
+# l'Huilier's formula is the oracle of the cone cells' solid angles (conftest)
 def test_spherical_triangle_excess_octant():
     a, b, c = np.eye(3)
     assert spherical_triangle_excess(a, b, c) == pytest.approx(PI / 2, abs=1e-13)
