@@ -6,13 +6,12 @@ single-valued off the cone boundaries and flagged non-unique on them.
 Bodies live in R^2 or R^3, where every cell measure is closed-form.
 
 Cell boundaries are read off the body's Qhull hull (see body_core) as
-oriented rows: in 3-d the (edge, facet) rows of fan_rows, in 2-d the arcs
-of arcs_2d.  The facet-side atoms and the sphere-side rules in measures
-read the same rows, and cone_partition takes every cell's solid angle
-from them in one closed-form pass.
+the oriented rows of fan_rows: in 3-d one per (edge, facet) pair, in 2-d
+one per (facet, vertex pair).  The facet-side atoms and the sphere-side
+rules in measures read the same rows in both dimensions, and
+cone_partition takes every cell's solid angle from them in one
+closed-form pass.
 """
-
-import math
 
 import numpy as np
 
@@ -24,10 +23,10 @@ TIE_TOL = 1e-10
 class ConeCell:
     """Spherical cone of one facet: all unit u with rho(u) u on that facet.
 
-    The cell's boundary is a set of oriented edges, rows of starts and ends
-    (unit rays): in 3-d one per edge of the facet, each running
-    counterclockwise about the normal; in 2-d the cell's one arc, from
-    starts[0] counterclockwise to ends[0].  An empty cell has no rows.
+    The cell's boundary is its facet's rows of fan_rows, starts and ends
+    (unit rays) running counterclockwise about the normal: in 3-d one per
+    edge of the facet; in 2-d the cell's one arc, from starts[0] to
+    ends[0].  An empty cell has no rows.
     """
 
     def __init__(self, facet_index, normal, offset, starts, ends, solid_angle):
@@ -129,34 +128,25 @@ def radial_gauss_batch(P, dirs, tie_tol=TIE_TOL):
     return radial_batch(P.normals, P.offsets, dirs, tie_tol)
 
 
-def arcs_2d(P):
-    """The circle cut at the vertex rays, each arc with its edge (n=2).
-
-    Returns (ids, lo, hi): the edge the radial Gauss map sends the arc's
-    midpoint to, and the arc's ends as signed angles about that edge's
-    normal, lo < hi.  The arcs are read from the vertices alone, so they
-    tile the circle with no facet incidence involved.
-    """
-    x = P.vertices
-    phi = np.sort(np.arctan2(x[:, 1], x[:, 0]))
-    ends = np.stack([phi, np.roll(phi, -1)], axis=1)
-    ends[-1, 1] += 2.0 * math.pi
-    mid = ends.mean(axis=1)
-    _, ids, _ = radial_batch(P.normals, P.offsets, np.column_stack([np.cos(mid), np.sin(mid)]))
-    th = ends - np.arctan2(P.normals[ids, 1], P.normals[ids, 0])[:, None]
-    th = (th + math.pi) % (2.0 * math.pi) - math.pi
-    return ids, th[:, 0], th[:, 1]
-
-
 def fan_rows(P):
-    """The (edge, facet) rows of a 3-d body as fan triangles about each
-    facet's normal: the facet, and the unit rays to the edge's ends, ordered
-    counterclockwise about the normal (along v_i x v_j for the edge's other
-    facet j, which keeps facet i on the left)."""
-    fid, other, ia, ib = P._polar.edges
-    v, x = P.normals, P.vertices
-    flip = np.einsum("ej,ej->e", x[ib] - x[ia], np.cross(v[fid], v[other])) < 0.0
+    """The boundary rows of every nonempty facet as fan triangles about its
+    normal: the facet, and the unit rays to the ends of one piece of its
+    boundary, ordered counterclockwise about the normal.
+
+    In 3-d one row per (edge, facet) pair of the hull, ordered along
+    v_i x v_j for the edge's other facet j, which keeps facet i on the left.
+    In 2-d one row per facet, its two vertices (adjacent in the hull's
+    (facet, vertex) pairs), ordered so that det[start, end] > 0.
+    """
+    x, g = P.vertices, P._polar
     rays = x / np.linalg.norm(x, axis=1)[:, None]
+    if P.dim == 2:
+        fid, ia, ib = g.fac[::2], g.ver[::2], g.ver[1::2]
+        flip = x[ia, 0] * x[ib, 1] - x[ia, 1] * x[ib, 0] < 0.0
+    else:
+        fid, other, ia, ib = g.edges
+        v = P.normals
+        flip = np.einsum("ej,ej->e", x[ib] - x[ia], np.cross(v[fid], v[other])) < 0.0
     return fid, rays[np.where(flip, ib, ia)], rays[np.where(flip, ia, ib)]
 
 
@@ -165,22 +155,20 @@ def cone_partition(P):
     empty cell.
 
     Cells cover the sphere and overlap only on boundaries.  Each cell holds
-    its boundary rows: in 3-d the facet's rows of fan_rows, in 2-d its arc
-    of arcs_2d.  All solid angles come from one pass over those rows: in
-    2-d an arc's width hi - lo; in 3-d the sum over the facet's rows of the
-    signed triangle (v, a, b) about its normal v, whose solid angle is
+    its facet's rows of fan_rows, and all solid angles come from one pass
+    over those rows: in 2-d the angle atan2(det[a, b], a.b) from a to b; in
+    3-d the sum over the facet's rows of the signed triangle (v, a, b)
+    about its normal v, whose solid angle is
     2 atan2(det[v, a, b], 1 + v.a + a.b + b.v) (Van Oosterom & Strackee,
     IEEE Trans. Biomed. Eng. 30, 1983), taken in terms of s = a + b.
     """
     v = P.normals
     m, n = v.shape
+    fid, starts, ends = fan_rows(P)
     if n == 2:
-        fid, lo, hi = arcs_2d(P)
-        base = np.arctan2(v[fid, 1], v[fid, 0])
-        starts, ends = (np.column_stack([np.cos(base + t), np.sin(base + t)]) for t in (lo, hi))
-        angles = hi - lo
+        angles = np.arctan2(starts[:, 0] * ends[:, 1] - starts[:, 1] * ends[:, 0],
+                            np.einsum("ij,ij->i", starts, ends))
     else:
-        fid, starts, ends = fan_rows(P)
         w, s = v[fid], starts + ends
         # with s = a + b, 1 + a.b = |s|^2 / 2 and det[v, a, b] = det[v, a, s]:
         # these keep their accuracy when a and b are nearly antipodal (an

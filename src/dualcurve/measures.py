@@ -6,24 +6,24 @@ normalized dual volumes, the dual Steiner polynomial, the smooth-body
 density, and the valuation identity check.
 
 Polytope atoms for q != 0 come from one semi-analytic evaluator, _atoms,
-which every caller shares: in 3-d the facet integral of |x|^(q-3) has its
-radial direction integrated in closed form, leaving Gauss panels over the
-wedge angle of each facet edge, all edges of all facets in one NumPy pass
-over the (edge, facet) rows of the body's Qhull hull (see body_core); in
-2-d the arc integral of sec^q becomes an analytic integrand under
-w = asinh(tan theta).  Both reach about 1e-14 with no tuning knobs.  The
-q = 0 atoms are the closed-form solid angles of the cone cells
-(gauss_maps.cone_partition).
+which every caller shares, on the rows of gauss_maps.fan_rows: in 3-d the
+facet integral of |x|^(q-3) has its radial direction integrated in closed
+form, leaving Gauss panels over the wedge angle of each facet edge, all
+edges of all facets in one NumPy pass over the (edge, facet) rows of the
+body's Qhull hull (see body_core); in 2-d the arc integral of sec^q
+becomes an analytic integrand under w = asinh(tan theta).  Both reach
+about 1e-14 with no tuning knobs: the panel counts follow from the
+longest range in w.  The q = 0 atoms are the closed-form solid angles of
+the cone cells (gauss_maps.cone_partition).
 
 The sphere-side integrals behind dual_quermassintegral are the
-independent cross-check path: they evaluate rho on the sphere, in 3-d on
-one signed fan triangle per (edge, facet) row about the facet's normal
-(gauss_maps.fan_rows, quadrature.spherical_polygon_rule), in 2-d on Gauss
-panels in asinh(tan theta) over each arc (gauss_maps.arcs_2d,
-quadrature.arc_rule); dual_area over a cone cell takes the same rules on
-the cell's own rows.  Each rule has a coarse companion on the same
-panels, built only when the error estimate is read; their difference is
-that estimate.
+independent cross-check path: they evaluate rho on the sphere over the
+same rows, one signed fan triangle (in 2-d one arc) per row about the
+facet's normal, in one rule for both dimensions
+(quadrature.spherical_polygon_rule); dual_area over a cone cell takes the
+same rule on the cell's own rows.  Each rule has a coarse companion on
+the same panels, built only when the error estimate is read; their
+difference is that estimate.
 """
 
 import functools
@@ -33,9 +33,8 @@ import numpy as np
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
                         VPolytope, as_direction, direction_pairs)
-from .gauss_maps import ConeCell, arcs_2d, cone_partition, fan_rows
-from .quadrature import (FAN_COARSE_NODES, FAN_NODES, FAN_PANEL_WIDTH, arc_rule,
-                         panel_rule, sphere_rule, spherical_polygon_rule)
+from .gauss_maps import ConeCell, cone_partition, fan_rows
+from .quadrature import _panel_counts, panel_rule, sphere_rule, spherical_polygon_rule
 
 SMOOTH_LEVELS = {2: 10, 3: 6}
 
@@ -151,13 +150,14 @@ def measure_l1(mu_a, mu_b, tol=1e-9):
 # -- polytope paths --------------------------------------------------------
 
 
-# rows per block of the (edge, node) arrays of _atoms_3d_radial: at 128
-# nodes a row, each temporary stays at 64 KB, inside the cache and small
-# enough for the allocator to reuse instead of mapping fresh pages per call
+# rows per block of the (edge, node) arrays of _atoms_3d_radial: at up to
+# 128 nodes a row (8 panels), each temporary stays within 64 KB, inside the
+# cache and small enough for the allocator to reuse instead of mapping
+# fresh pages per call
 EDGE_BLOCK = 64
 
 
-def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
+def _atoms_3d_radial(P, q):
     """Facet-path atoms with the radial direction integrated in closed form.
 
     On facet i the integrand |x|^(q-3) depends on the in-plane radius r
@@ -193,15 +193,15 @@ def _atoms_3d_radial(P, q, n_nodes=16, n_panels=8):
     sums = np.empty(len(wa))
     for lo in range(0, len(wa), EDGE_BLOCK):
         b = slice(lo, lo + EDGE_BLOCK)
-        sums[b] = _wedge_sums(q, wa[b], wb[b], m[b], hh[b], n_nodes, n_panels)
+        sums[b] = _wedge_sums(q, wa[b], wb[b], m[b], hh[b])
     vals = np.where(inside, 1.0, -1.0) * sums
     return np.bincount(fid, hh * vals / 3.0, minlength=len(h))
 
 
-def _wedge_sums(q, wa, wb, m, hh, n_nodes, n_panels):
+def _wedge_sums(q, wa, wb, m, hh):
     """Gauss sums of the wedge integrals of (edge, facet) rows of
     _atoms_3d_radial, from w = wa to wb at distance m from the foot."""
-    nodes, wts = panel_rule(wa, wb, n_nodes, n_panels)
+    nodes, wts = _gauss_panels(wa, wb)
     # s2 = cosh^2 = 1 + sinh^2 and r2 = m^2 s2; the (edge, node) arrays are
     # updated in place, which saves a third of the time at 48 halfspaces
     s2 = np.sinh(nodes)
@@ -228,23 +228,28 @@ def _wedge_sums(q, wa, wb, m, hh, n_nodes, n_panels):
     return inner.sum(axis=1)
 
 
+def _gauss_panels(wa, wb):
+    """Gauss nodes and weights on each row's [wa, wb], 16 nodes a panel, all
+    rows taking the panel count of the longest at FAN_PANEL_WIDTH."""
+    return panel_rule(wa, wb, 16, int(_panel_counts(wb - wa).max(initial=1)))
+
+
 def _atoms_2d_arc(P, q):
     """Edge-path atoms in the plane, one Gauss sweep over all arcs.
 
     The arc integral (h^q/2) int sec^q(theta) d(theta) over the wedge of
     edge i becomes (h^q/2) int cosh(w)^(q-1) dw under w = asinh(tan theta),
-    which is analytic and panel-friendly; exact for q in {1, 2}.  Every arc
-    takes the panel count of the longest, at most FAN_PANEL_WIDTH wide in
-    w, with 16 nodes each.
+    which is analytic and panel-friendly; exact for q in {1, 2}.  The ends
+    of each arc are its fan_rows rays, with tan theta = det[v, r] / v.r
+    about the edge's normal v.
     """
-    ids, lo, hi = arcs_2d(P)
-    wa, wb = np.arcsinh(np.tan(lo)), np.arcsinh(np.tan(hi))
-    n_panels = max(1, math.ceil(float(np.max(wb - wa)) / FAN_PANEL_WIDTH))
-    nodes, wts = panel_rule(wa, wb, 16, n_panels)
+    fid, starts, ends = fan_rows(P)
+    v = P.normals[fid]
+    wa, wb = (np.arcsinh((v[:, 0] * r[:, 1] - v[:, 1] * r[:, 0]) / np.einsum("ij,ij->i", v, r))
+              for r in (starts, ends))
+    nodes, wts = _gauss_panels(wa, wb)
     vals = (wts * np.cosh(nodes) ** (q - 1.0)).sum(axis=1)
-    atoms = np.zeros(len(P.normals))
-    np.add.at(atoms, ids, 0.5 * P.offsets[ids] ** q * vals)
-    return atoms
+    return np.bincount(fid, 0.5 * P.offsets[fid] ** q * vals, minlength=len(P.normals))
 
 
 def _atoms(P, q):
@@ -252,14 +257,15 @@ def _atoms(P, q):
 
     The one atom evaluator behind dual_curvature, the solver and the
     variational checks: wherever atoms are paired with a dual
-    quermassintegral, that total comes from the same evaluator.
+    quermassintegral, that total comes from the same evaluator.  A body
+    with no nonempty facet (all its vertices merged) has zero atoms.
     """
-    if P.dim == 2:
-        return _atoms_2d_arc(P, q)
-    return _atoms_3d_radial(P, q)
+    atoms = _atoms_2d_arc(P, q) if P.dim == 2 else _atoms_3d_radial(P, q)
+    # np.bincount gives integers when it has no rows to count
+    return atoms.astype(float, copy=False)
 
 
-def _atom_jacobian(P, q, atoms, n_nodes=16, n_panels=4):
+def _atom_jacobian(P, q, atoms):
     """d atom_i / d log h_j of an H-polytope, given its atoms: the second
     variation of the dual quermassintegral, whose first variation the atoms
     are (Huang, Lutwak, Yang & Zhang, Acta Math. 216, 2016).
@@ -295,8 +301,7 @@ def _atom_jacobian(P, q, atoms, n_nodes=16, n_panels=4):
         edge /= elen[:, None]
         dist = np.linalg.norm(np.cross(x[ia], edge), axis=1)
         ta = np.einsum("ej,ej->e", x[ia], edge)
-        nodes, wts = panel_rule(np.arcsinh(ta / dist), np.arcsinh((ta + elen) / dist),
-                                 n_nodes, n_panels)
+        nodes, wts = _gauss_panels(np.arcsinh(ta / dist), np.arcsinh((ta + elen) / dist))
         vals = dist ** (q - 2.0) * (wts * np.cosh(nodes) ** (q - 2.0)).sum(axis=1)
         sin = np.linalg.norm(np.cross(v[i], v[j]), axis=1)
     vals *= h[i] * h[j] / (n * sin)
@@ -399,32 +404,16 @@ def _cell_piece(rule, offsets, poles):
     return rule.weights, _cell_rho(rule, offsets, poles), coarse
 
 
-def _arc_piece(P):
-    """The 2-d sphere-side rule as one piece (weights, rho, coarse): on each
-    arc, arc_rule about the arc's edge normal, where rho = h_i sec(theta);
-    coarse() gives the FAN_COARSE_NODES rule on the same panels."""
-    ids, lo, hi = arcs_2d(P)
-
-    def rule(k):
-        theta, weights, arc = arc_rule(lo, hi, k)
-        return weights, P.offsets[ids[arc]] / np.cos(theta)
-
-    return (*rule(FAN_NODES), lambda: rule(FAN_COARSE_NODES))
-
-
 def _cone_nodes(P):
     """Sphere-side pieces (weights, rho, coarse), coarse() giving the
     weights and rho of the companion rule.
 
-    The independent sphere-side path.  n=3: one signed fan triangle per
-    (edge, facet) row about the facet's normal, where rho = h_i / (u . v_i)
-    (spherical_polygon_rule), FAN_BLOCK rows per piece.  n=2: the arcs of
-    _arc_piece, all in one piece.
+    The independent sphere-side path: one signed fan triangle (in 2-d one
+    arc) per row of fan_rows about the facet's normal, where
+    rho = h_i / (u . v_i) (spherical_polygon_rule), FAN_BLOCK rows per
+    piece.
     """
     h, v = P.offsets, P.normals
-    if P.dim == 2:
-        yield _arc_piece(P)
-        return
     fid, starts, ends = fan_rows(P)
     for lo in range(0, len(fid), FAN_BLOCK):
         b = slice(lo, lo + FAN_BLOCK)
@@ -490,31 +479,42 @@ def dual_quermassintegral(K, q):
     Polytopes integrate cone-wise on the sphere side (independent of the
     facet-path atoms); smooth bodies use a global sphere rule.  q may be
     any real for polytopes.  The normalized dual volume is the q-th power
-    mean of rho over the sphere, exp(log1p(M) / q) with M the mean of
-    expm1(q log rho), so it does not cancel as q -> 0; at q=0 it is the
-    exponential of the mean of log rho.
+    mean of rho over the sphere, exp((c + log1p(M)) / q) with c the largest
+    q log rho and M the mean of expm1(q log rho - c), so it neither cancels
+    as q -> 0 nor loses 1 + M when rho^q is far from 1; at q=0 it is the
+    exponential of the mean of log rho.  The sums are einsum loops, which
+    stay on the calling thread where BLAS dots would wake its threads.
     """
     cells, n = _sphere_cells(K)
-    # value, sum of |terms|, total weight, integral of expm1(q log rho)
-    # (of log rho at q=0)
+    # value, sum of |terms|, total weight, integral of log rho at q=0, else
+    # of expm1(q log rho - c) with c the largest q log rho so far
     sums = np.zeros(4)
+    c = -math.inf
     companions = []
     for w, rho, coarse in cells:
         f = rho**q
-        log_rho = np.log(rho)
-        g = log_rho if q == 0 else np.expm1(q * log_rho)
-        sums += (w @ f, np.abs(w) @ f, w.sum(), w @ g)
+        g = np.log(rho)
+        if q != 0:
+            g *= q
+            top = float(g.max(initial=-math.inf))
+            if top > c:
+                # the integral so far, re-centred on the new largest term
+                sums[3] += math.expm1(c - top) * (sums[3] + sums[2])
+                c = top
+            g = np.expm1(g - c)
+        sums += (np.einsum("i,i->", w, f), np.einsum("i,i->", np.abs(w), f), w.sum(),
+                 np.einsum("i,i->", w, g))
         companions.append(coarse)
     value, size = sums[:2] / n
     mean = float(sums[3] / sums[2])
-    normalized = math.exp(mean if q == 0 else math.log1p(mean) / q)
+    normalized = math.exp(mean if q == 0 else (c + math.log1p(mean)) / q)
     # rho**q carries about |q| times rho's few ulps, and the sum of the
     # signed terms loses up to about log2(terms) more
     rounding = (abs(q) + 32.0) * np.finfo(float).eps * size
 
     def error():
-        coarse = sum(float(w @ rho**q) for w, rho in (c() for c in companions)) / n
-        return abs(value - coarse) + rounding
+        coarse = sum(float(np.einsum("i,i->", w, rho**q)) for w, rho in (b() for b in companions))
+        return abs(value - coarse / n) + rounding
 
     return DualQuermassResult(q, value, normalized, error)
 
@@ -536,17 +536,9 @@ def dual_area(K, q, region=None):
         if cell.empty:
             continue
         v = cell.normal
-        if K.dim == 2:
-            # the arc's ends as angles about the cell's normal
-            lo, hi = (math.atan2(v[0] * r[1] - v[1] * r[0], float(v @ r))
-                      for r in (cell.starts[0], cell.ends[0]))
-            th, w, _ = arc_rule(lo, hi)
-            total += 0.5 * cell.offset**q * float(w @ np.cos(th) ** (-q))
-        else:
-            poles = np.broadcast_to(v, cell.starts.shape)
-            rule = spherical_polygon_rule(poles, cell.starts, cell.ends)
-            rho = cell.offset / (rule.nodes @ v)
-            total += float(rule.weights @ rho**q) / 3.0
+        rule = spherical_polygon_rule(np.broadcast_to(v, cell.starts.shape), cell.starts, cell.ends)
+        rho = cell.offset / (rule.nodes @ v)
+        total += float(rule.weights @ rho**q) / K.dim
     return total
 
 

@@ -1,9 +1,9 @@
-"""Numerical integration on spheres and circular arcs.
+"""Numerical integration on spheres and circles.
 
-Global product rules for whole spheres, Gauss panels in asinh(tan theta)
-on circular arcs, and the signed fan rule for spherical polygons: one
-triangle per oriented edge, integrated in geodesic polar coordinates
-about the edge's own pole.
+Global product rules for whole spheres, and the signed fan rule for
+spherical polygons and circular arcs: one triangle (in 2-d one arc) per
+oriented edge, integrated in geodesic polar coordinates about the edge's
+own pole, on Gauss panels in asinh(tan theta).
 """
 
 import functools
@@ -95,9 +95,8 @@ def sphere_rule(n, level):
     return SphereQuadrature(3, nodes, weights)
 
 
-# Gauss nodes per panel of the arc and fan rules and of their coarse
-# companions; the panels are at most FAN_PANEL_WIDTH wide in each rule
-# variable
+# Gauss nodes per panel of the fan rules and of their coarse companions;
+# the panels are at most FAN_PANEL_WIDTH wide in each rule variable
 FAN_NODES = 12
 FAN_COARSE_NODES = 8
 FAN_PANEL_WIDTH = 2.0
@@ -108,29 +107,6 @@ def _panel_counts(length):
     return np.maximum(np.ceil(np.abs(length) / FAN_PANEL_WIDTH), 1).astype(int)
 
 
-def arc_rule(lo, hi, n_nodes=FAN_NODES):
-    """Gauss rule in theta on arcs [lo, hi] inside (-pi/2, pi/2), placed for
-    integrands like sec(theta)**q.
-
-    The nodes sit on Gauss panels in w = asinh(tan theta), n_nodes per
-    panel, with weights dw / cosh(w), so sec^q(theta) d(theta) =
-    cosh^(q-1)(w) dw is analytic in the rule's variable and arcs reaching
-    towards +-pi/2 (thin bodies) keep full accuracy.  Each arc's panel
-    count follows from its length in w.  Returns flat arrays (theta,
-    weights, arc), arc holding each node's arc.
-    """
-    wa, wb = (np.arcsinh(np.tan(np.atleast_1d(np.asarray(a, float)))) for a in (lo, hi))
-    panels = _panel_counts(wb - wa)
-    theta, weights, arc = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, int)]
-    for n in np.unique(panels):
-        g = np.flatnonzero(panels == n)
-        w, dw = panel_rule(wa[g], wb[g], n_nodes, n)
-        theta.append(np.arctan(np.sinh(w)).ravel())
-        weights.append((dw / np.cosh(w)).ravel())
-        arc.append(np.repeat(g, w.shape[1]))
-    return np.concatenate(theta), np.concatenate(weights), np.concatenate(arc)
-
-
 def spherical_polygon_rule(poles, starts, ends):
     """Quadrature over signed spherical fan triangles, one per oriented edge.
 
@@ -138,7 +114,9 @@ def spherical_polygon_rule(poles, starts, ends):
     counted with the sign of det[pole, start, end].  A spherical polygon
     whose edges run counterclockwise about a pole is the sum of its edges'
     triangles about that pole, also when the pole lies outside it.  Each
-    edge must lie in the open hemisphere about its pole.
+    edge must lie in the open hemisphere about its pole.  (k, 2) rows are
+    arcs of the circle, from start to end about the pole, counted with the
+    sign of det[start, end]; see _arc_nodes.
 
     About the pole, in geodesic polar coordinates (theta, phi), the edge's
     great circle is tan(theta) = tan(theta0) / cos(phi - phi0), where phi0
@@ -156,12 +134,20 @@ def spherical_polygon_rule(poles, starts, ends):
     same panels, built when first read.
     """
     poles, starts, ends = (np.atleast_2d(np.asarray(a, float)) for a in (poles, starts, ends))
-    if poles.shape[1:] != (3,) or starts.shape != poles.shape or ends.shape != poles.shape:
-        raise GeometryError("poles, starts and ends must be matching (k, 3) arrays")
+    if poles.shape[1:] not in ((2,), (3,)) or starts.shape != poles.shape or ends.shape != poles.shape:
+        raise GeometryError("poles, starts and ends must be matching (k, 2) or (k, 3) arrays")
     ca = np.einsum("ij,ij->i", starts, poles)
     cb = np.einsum("ij,ij->i", ends, poles)
     if not ((ca > 0.0) & (cb > 0.0)).all():
         raise GeometryError("an edge leaves the open hemisphere about its pole")
+    if poles.shape[1] == 2:
+        # tan theta of each end about the pole
+        wa = np.arcsinh((poles[:, 0] * starts[:, 1] - poles[:, 1] * starts[:, 0]) / ca)
+        wb = np.arcsinh((poles[:, 0] * ends[:, 1] - poles[:, 1] * ends[:, 0]) / cb)
+        arcs = (poles, wa, wb, _panel_counts(wb - wa))
+        return SphereQuadrature(
+            2, *_arc_nodes(FAN_NODES, *arcs),
+            companion=lambda: SphereQuadrature(2, *_arc_nodes(FAN_COARSE_NODES, *arcs)))
     # gnomonic images in the tangent plane at the pole: the edge is a segment
     za = starts / ca[:, None] - poles
     zb = ends / cb[:, None] - poles
@@ -183,6 +169,28 @@ def spherical_polygon_rule(poles, starts, ends):
     return SphereQuadrature(
         3, *_fan_nodes(FAN_NODES, *panels),
         companion=lambda: SphereQuadrature(3, *_fan_nodes(FAN_COARSE_NODES, *panels)))
+
+
+def _arc_nodes(k, poles, wa, wb, panels):
+    """Nodes, weights and row ids of the arc rule with k Gauss nodes per
+    panel: panels[r] panels on [wa, wb] in w = asinh(tan theta), theta the
+    angle from the pole, the rows that share their panel count in one
+    block.  There d(theta) = dw / cosh(w) and sec(theta) = cosh(w), so
+    integrands like sec(theta)**q are analytic in w and arcs reaching
+    towards +-pi/2 (thin bodies) keep full accuracy."""
+    nodes, weights, edge = [np.zeros((0, 2))], [np.zeros(0)], [np.zeros(0, int)]
+    for c in np.unique(panels):
+        g = np.flatnonzero(panels == c)
+        w, dw = panel_rule(wa[g], wb[g], k, c)
+        # u = sech(w) pole + tanh(w) pole', pole' the pole turned by pi/2:
+        # as complex numbers, the pole times sech(w) + i tanh(w)
+        u = np.empty(w.shape, complex)
+        u.real, u.imag = np.reciprocal(np.cosh(w)), np.tanh(w)
+        weights.append((dw * u.real).ravel())
+        u *= (poles[g, 0] + 1j * poles[g, 1])[:, None]
+        nodes.append(u.view(float).reshape(-1, 2))
+        edge.append(np.repeat(g, w.shape[1]))
+    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(edge)
 
 
 def _cross(a, b):

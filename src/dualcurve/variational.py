@@ -40,20 +40,24 @@ def log_wulff(base, f, t):
     return LogFamily(base, f).body_at(t)
 
 
-def _activity_stable(K, fam, t):
-    act = K.active
-    return (fam.body_at(t).active == act).all() and (fam.body_at(-t).active == act).all()
+def _stencil(K, offsets_at, t_step):
+    """The step t of a central difference about K and the bodies at +-t,
+    with offsets offsets_at(+-t) on K's normals.
 
-
-def _shrink_step(K, fam, t_step, max_shrinks=3):
-    # a facet appearing or vanishing inside the stencil spoils the
-    # difference quotient; shrink the step until the active set is stable
+    A facet appearing or vanishing inside the stencil spoils the difference
+    quotient, so the step shrinks tenfold, up to three times, until both
+    bodies have positive offsets and K's active set; the bodies returned
+    are the ones tested.
+    """
     t = t_step
-    for _ in range(max_shrinks):
-        if _activity_stable(K, fam, t):
-            return t
+    for _ in range(3):
+        offsets = offsets_at(t), offsets_at(-t)
+        if all((h > 0).all() for h in offsets):
+            plus, minus = (K.with_offsets(h) for h in offsets)
+            if (plus.active == K.active).all() and (minus.active == K.active).all():
+                return t, plus, minus
         t /= 10.0
-    return t
+    return t, K.with_offsets(offsets_at(t)), K.with_offsets(offsets_at(-t))
 
 
 def _rel_err(approx, exact):
@@ -72,10 +76,9 @@ def check_dual_variation(K, f, q, t_step=1e-4):
     """
     if q == 0:
         raise GeometryError("use check_q0_variation for q = 0")
-    fam = LogFamily(K, f)
-    t = _shrink_step(K, fam, t_step)
+    t, plus, minus = _stencil(K, LogFamily(K, f).offsets_at, t_step)
     wq = lambda body: float(_atoms(body, q).sum())
-    fd = (wq(fam.body_at(t)) - wq(fam.body_at(-t))) / (2 * t)
+    fd = (wq(plus) - wq(minus)) / (2 * t)
     atoms = _atoms(K, q)
     exact = q * float(np.asarray(f, float) @ atoms)
     return _rel_err(fd, exact)
@@ -84,10 +87,9 @@ def check_dual_variation(K, f, q, t_step=1e-4):
 def check_q0_variation(K, f, t_step=1e-4):
     """Central difference of log of the normalized dual volume at q=0 against
     the pairing of f with the index-0 atoms over the unit-ball volume."""
-    fam = LogFamily(K, f)
-    t = _shrink_step(K, fam, t_step)
+    t, plus, minus = _stencil(K, LogFamily(K, f).offsets_at, t_step)
     v0 = lambda body: math.log(dual_quermassintegral(body, 0).normalized)
-    fd = (v0(fam.body_at(t)) - v0(fam.body_at(-t))) / (2 * t)
+    fd = (v0(plus) - v0(minus)) / (2 * t)
     atoms = dual_curvature_q0(K).weights
     exact = float(np.asarray(f, float) @ atoms) / unit_ball_volume(K.dim)
     return _rel_err(fd, exact)
@@ -99,15 +101,7 @@ def check_aleksandrov(K, f, t_step=1e-4):
     f = np.asarray(f, float)
     if f.shape != K.offsets.shape:
         raise GeometryError("perturbation must give one value per base direction")
-    t = t_step
-    for _ in range(3):
-        ok = ((K.offsets + t * f > 0).all() and (K.offsets - t * f > 0).all()
-              and (K.with_offsets(K.offsets + t * f).active == K.active).all()
-              and (K.with_offsets(K.offsets - t * f).active == K.active).all())
-        if ok:
-            break
-        t /= 10.0
-    fd = (K.with_offsets(K.offsets + t * f).volume()
-          - K.with_offsets(K.offsets - t * f).volume()) / (2 * t)
+    t, plus, minus = _stencil(K, lambda t: K.offsets + t * f, t_step)
+    fd = (plus.volume() - minus.volume()) / (2 * t)
     exact = float(f @ K.facet_areas)
     return _rel_err(fd, exact)

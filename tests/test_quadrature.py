@@ -6,7 +6,7 @@ from scipy import integrate
 
 from dualcurve import (GeometryError, sphere_area, sphere_rule,
                        spherical_polygon_rule, unit_ball_volume)
-from dualcurve.quadrature import _legendre, arc_rule
+from dualcurve.quadrature import _legendre
 
 from conftest import spherical_triangle_excess
 
@@ -44,28 +44,48 @@ def test_sphere_rule_quartic_moment_3d():
     assert got == pytest.approx(4 * PI / 15, rel=1e-10)
 
 
-def test_arc_rule_closed_form():
-    th, w, _ = arc_rule(0.0, PI / 4)
-    assert float(w @ (1.0 / np.cos(th))) == pytest.approx(LOG_1P_SQRT2, abs=1e-12)
-    th, w, _ = arc_rule(-1.5, 1.5)
-    assert float(w @ np.cos(th)) == pytest.approx(2.0 * math.sin(1.5), abs=1e-12)
+def _arcs(lo, hi):
+    """spherical_polygon_rule over arcs of the circle from angle lo to hi
+    about the pole e1, with each node's angle theta from the pole."""
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    ray = lambda t: np.column_stack([np.cos(t), np.sin(t)])
+    rule = spherical_polygon_rule(ray(0.0 * lo), ray(lo), ray(hi))
+    return rule, np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0])
+
+
+def test_polygon_rule_arcs_closed_form():
+    rule, th = _arcs(0.0, PI / 4)
+    assert rule.dim == 2
+    assert float(rule.weights @ (1.0 / np.cos(th))) == pytest.approx(LOG_1P_SQRT2, abs=1e-12)
+    rule, th = _arcs(-1.5, 1.5)
+    assert float(rule.weights @ np.cos(th)) == pytest.approx(2.0 * math.sin(1.5), abs=1e-12)
     # an arc reaching towards pi/2, as on a thin body, and a second arc in
     # the same call: the integral of sec^3 up to atan(t)
     t = 100.0
-    th, w, arc = arc_rule([0.0, 0.0], [math.atan(t), PI / 4])
-    got = np.bincount(arc, weights=w / np.cos(th) ** 3)
+    rule, th = _arcs([0.0, 0.0], [math.atan(t), PI / 4])
+    got = np.bincount(rule.edge, weights=rule.weights / np.cos(th) ** 3)
     want = [0.5 * (t * math.hypot(1.0, t) + math.asinh(t)), 0.5 * (math.sqrt(2) + LOG_1P_SQRT2)]
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
-def test_arc_rule_matches_adaptive():
+def test_polygon_rule_arcs_match_adaptive():
     lo, hi = -0.7, 1.1
-    th, w, _ = arc_rule(lo, hi)
-    assert w.sum() == pytest.approx(hi - lo, rel=1e-13)
-    got = float(w @ np.cos(th) ** (-0.5))
+    rule, th = _arcs(lo, hi)
+    assert rule.weights.sum() == pytest.approx(hi - lo, rel=1e-13)
+    got = float(rule.weights @ np.cos(th) ** (-0.5))
     want, _ = integrate.quad(lambda t: math.cos(t) ** (-0.5), lo, hi,
                              epsabs=1e-10, epsrel=1e-10, limit=200)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_polygon_rule_arcs_signed_and_refused_outside_the_half_circle():
+    rule, _ = _arcs(1.1, -0.7)
+    assert (rule.weights < 0).all()
+    assert rule.weights.sum() == pytest.approx(-1.8, rel=1e-13)
+    np.testing.assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-15)
+    assert rule.coarse.weights.sum() == pytest.approx(-1.8, rel=1e-13)
+    with pytest.raises(GeometryError, match="open hemisphere"):
+        _arcs(0.0, 2.0)
 
 
 def test_gauss_rules_built_once_and_read_only():

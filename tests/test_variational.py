@@ -104,7 +104,11 @@ def test_step_shrinks_when_activity_changes():
     assert p.active[6]
     f = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.2, -1.0])
     fam = va.LogFamily(p, f)
-    assert not va._activity_stable(p, fam, 1e-4)
-    assert va._shrink_step(p, fam, 1e-4) == pytest.approx(1e-5)
+    assert not all((fam.body_at(t).active == p.active).all() for t in (1e-4, -1e-4))
+    t, plus, minus = va._stencil(p, fam.offsets_at, 1e-4)
+    assert t == pytest.approx(1e-5)
+    np.testing.assert_array_equal(plus.offsets, fam.offsets_at(t))
+    np.testing.assert_array_equal(minus.offsets, fam.offsets_at(-t))
+    assert (plus.active == p.active).all() and (minus.active == p.active).all()
     err = check_dual_variation(p, f, 2.0, t_step=1e-4)
     assert err <= 1e-3
