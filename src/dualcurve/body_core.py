@@ -53,6 +53,15 @@ def direction_pairs(dirs, tol=1e-9):
     return not across.all(), None if (j < 0).any() else j
 
 
+def match_directions(a, b, tol=1e-9):
+    """For each row of a, the index of the nearest row of b within tol
+    (distance <= tol), or -1: one k-d tree query over b."""
+    # the query's upper bound is strict; the next float above tol keeps <=
+    _, j = cKDTree(b).query(a, distance_upper_bound=np.nextafter(tol, np.inf))
+    j[j == len(b)] = -1
+    return j
+
+
 def unit(v):
     v = np.asarray(v, float)
     n = np.linalg.norm(v)
@@ -62,10 +71,11 @@ def unit(v):
 
 
 def as_direction(v, tol=1e-9):
-    """Validate a unit vector; renormalize only if it is visibly off."""
+    """Validate a unit vector; renormalize only if it is visibly off.  A
+    non-finite vector is refused."""
     v = np.asarray(v, float)
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:
         raise GeometryError(f"direction has norm {n!r}, expected 1")
     if abs(n - 1.0) > 1e-12:
         v = v / n
@@ -114,19 +124,21 @@ def _merge_simplices(hull, keys, tol):
 
 
 def _merge_points(points, tol=MERGE_TOL):
-    """Greedy dedupe of nearby points; returns representatives."""
+    """Greedy dedupe of nearby points; returns representatives.
+
+    In index order, a point that no earlier kept point absorbed is kept and
+    absorbs every later point within tol of it.
+    """
     pts = np.asarray(points, float)
-    if len(pts) == 0:
-        return np.zeros((0, pts.shape[1]))
-    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= tol
-    keep = []
+    if not np.isfinite(pts).all():
+        raise GeometryError("coordinates must be finite")
+    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
     absorbed = np.zeros(len(pts), dtype=bool)
-    for i in range(len(pts)):
-        if absorbed[i]:
-            continue
-        keep.append(i)
-        absorbed |= close[i]
-    return pts[keep].copy()
+    # pairs (i, j) with i < j, by i: absorbed[i] is final when i's turn comes
+    for i, j in pairs[np.argsort(pairs[:, 0], kind="stable")]:
+        if not absorbed[i]:
+            absorbed[j] = True
+    return pts[~absorbed].copy()
 
 
 class _PolarHull:
@@ -425,10 +437,6 @@ class Ball(SmoothBody):
     def grad_support(self, v):
         return self.radius * as_direction(v)
 
-    def hess_tangent(self, v):
-        """Covariant Hessian h_ij in an orthonormal tangent frame at v."""
-        return np.zeros((self.dim - 1, self.dim - 1))
-
     def curvature_det(self, v):
         """det(h_ij + h delta_ij) at v."""
         return self.radius ** (self.dim - 1)
@@ -464,32 +472,6 @@ class Ellipsoid(SmoothBody):
     def grad_support(self, v):
         v = as_direction(v)
         return self.axes**2 * v / self.support(v)
-
-    def _tangent_frame(self, v):
-        frame = []
-        w = as_direction(v)
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = 1.0
-            t = e - (e @ w) * w
-            for f in frame:
-                t = t - (t @ f) * f
-            n = np.linalg.norm(t)
-            if n > 1e-8:
-                frame.append(t / n)
-            if len(frame) == self.dim - 1:
-                break
-        return np.array(frame)
-
-    def hess_tangent(self, v):
-        v = as_direction(v)
-        h = self.support(v)
-        a2 = self.axes**2
-        g = a2 * v
-        # Euclidean Hessian of the 1-homogeneous extension at |x| = 1
-        d2 = np.diag(a2) / h - np.outer(g, g) / h**3
-        p = self._tangent_frame(v)
-        return p @ d2 @ p.T - h * np.eye(self.dim - 1)
 
     def curvature_det(self, v):
         v = as_direction(v)
@@ -560,8 +542,9 @@ def wulff_polar_identity_check(dirs, h, tol=1e-9):
 
 
 def _hausdorff(a, b):
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    """Symmetric Hausdorff distance of two point sets: two nearest-neighbour
+    queries."""
+    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
 
 
 def radial_sum_ball(body, t, u):

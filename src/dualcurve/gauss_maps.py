@@ -111,16 +111,8 @@ def radial_gauss(P, u, tie_tol=TIE_TOL):
     Ties within relative tie_tol mean u points at a lower-dimensional face
     (the measure-zero cone-boundary set); no arbitrary tie-breaking.
     """
-    i = radial_gauss_index(P, u, tie_tol)
-    return None if i is None else P.normals[i]
-
-
-def radial_gauss_index(P, u, tie_tol=TIE_TOL):
-    u = as_direction(u)
-    rho, idx, tie = radial_batch(P.normals, P.offsets, u[None, :], tie_tol)
-    if bool(tie[0]):
-        return None
-    return int(idx[0])
+    _, idx, tie = radial_batch(P.normals, P.offsets, as_direction(u)[None, :], tie_tol)
+    return None if tie[0] else P.normals[idx[0]]
 
 
 def radial_gauss_batch(P, dirs, tie_tol=TIE_TOL):

@@ -32,7 +32,8 @@ import math
 import numpy as np
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
-                        VPolytope, as_direction, direction_pairs)
+                        VPolytope, as_direction, direction_pairs,
+                        match_directions)
 from .gauss_maps import ConeCell, cone_partition, fan_rows
 from .quadrature import _panel_counts, panel_rule, sphere_rule, spherical_polygon_rule
 
@@ -87,10 +88,13 @@ class DiscreteSphericalMeasure:
 
     def weight_at(self, v, tol=1e-9):
         """Atom weight at direction v (0 if no atom lies within tol)."""
-        v = as_direction(v)
-        d = np.linalg.norm(self.dirs - v, axis=1)
-        j = int(np.argmin(d))
-        return float(self.weights[j]) if d[j] <= tol else 0.0
+        return float(self._weights_at(as_direction(v)[None, :], tol)[0])
+
+    def _weights_at(self, dirs, tol):
+        """Weight of the nearest atom within tol of each row of dirs (0 where
+        no atom lies within tol)."""
+        # j = -1 picks the appended 0
+        return np.append(self.weights, 0.0)[match_directions(dirs, self.dirs, tol)]
 
     def scaled(self, c):
         return DiscreteSphericalMeasure(self.dirs, self.weights * c, even=self.even)
@@ -124,27 +128,19 @@ class DiscreteSphericalMeasure:
 
 
 def measure_max_discrepancy(mu_a, mu_b, tol=1e-9):
-    """Max atom difference over the merged direction set."""
-    worst = 0.0
-    for d, w in zip(mu_a.dirs, mu_a.weights):
-        worst = max(worst, abs(w - mu_b.weight_at(d, tol)))
-    for d, w in zip(mu_b.dirs, mu_b.weights):
-        worst = max(worst, abs(w - mu_a.weight_at(d, tol)))
-    return worst
+    """Max atom difference over both direction sets: each atom against the
+    nearest atom of the other measure within tol, or 0."""
+    return float(max(np.abs(mu_a.weights - mu_b._weights_at(mu_a.dirs, tol)).max(initial=0.0),
+                     np.abs(mu_b.weights - mu_a._weights_at(mu_b.dirs, tol)).max(initial=0.0)))
 
 
 def measure_l1(mu_a, mu_b, tol=1e-9):
-    """L1 distance over the merged direction set."""
-    seen = []
-    total = 0.0
-    for d, w in zip(mu_a.dirs, mu_a.weights):
-        total += abs(w - mu_b.weight_at(d, tol))
-        seen.append(d)
-    for d, w in zip(mu_b.dirs, mu_b.weights):
-        if any(np.linalg.norm(d - s) <= tol for s in seen):
-            continue
-        total += abs(w - mu_a.weight_at(d, tol))
-    return total
+    """L1 distance over the merged direction set: each atom of mu_a against
+    the nearest atom of mu_b within tol, plus the atoms of mu_b with no atom
+    of mu_a within tol."""
+    alone = match_directions(mu_b.dirs, mu_a.dirs, tol) < 0
+    return float(np.abs(mu_a.weights - mu_b._weights_at(mu_a.dirs, tol)).sum()
+                 + mu_b.weights[alone].sum())
 
 
 # -- polytope paths --------------------------------------------------------
@@ -583,21 +579,14 @@ def dual_curvature_density_smooth(K, q, v):
 
 
 def intersect_hpolytopes(K, L, tol=1e-9):
-    """Halfspace intersection; duplicate directions keep the smaller offset."""
-    normals = [row for row in K.normals]
-    offsets = [h for h in K.offsets]
-    for v, h in zip(L.normals, L.offsets):
-        dup = None
-        for j, w in enumerate(normals):
-            if np.linalg.norm(w - v) <= tol:
-                dup = j
-                break
-        if dup is None:
-            normals.append(v)
-            offsets.append(h)
-        else:
-            offsets[dup] = min(offsets[dup], h)
-    return HPolytope(np.array(normals), np.array(offsets), validate=False)
+    """Halfspace intersection: a normal of L within tol of one of K keeps the
+    smaller offset on K's nearest normal; the others are appended in order."""
+    j = match_directions(L.normals, K.normals, tol)
+    hit = j >= 0
+    offsets = K.offsets.copy()
+    np.minimum.at(offsets, j[hit], L.offsets[hit])
+    return HPolytope(np.vstack([K.normals, L.normals[~hit]]),
+                     np.concatenate([offsets, L.offsets[~hit]]), validate=False)
 
 
 def hull_of_union(K, L):
@@ -607,8 +596,10 @@ def hull_of_union(K, L):
 def valuation_check(K, L, q, tol=1e-9):
     """Max atom discrepancy in the inclusion-exclusion identity for index q.
 
-    Requires the union to be convex, verified by the volume identity
-    V(conv(K u L)) = V(K) + V(L) - V(K n L).
+    The identity is tested at every atom direction of the four measures,
+    each measure weighing a direction by its nearest atom within tol (0 if
+    none).  Requires the union to be convex, verified by the volume
+    identity V(conv(K u L)) = V(K) + V(L) - V(K n L).
     """
     K = _require_hpolytope(K)
     L = _require_hpolytope(L)
@@ -621,14 +612,7 @@ def valuation_check(K, L, q, tol=1e-9):
 
     mk, ml = dual_curvature(K, q), dual_curvature(L, q)
     mi, mh = dual_curvature(inter, q), dual_curvature(hull, q)
-    dirs = [d for d in mk.dirs]
-    for m in (ml, mi, mh):
-        for d in m.dirs:
-            if not any(np.linalg.norm(d - s) <= tol for s in dirs):
-                dirs.append(d)
-    worst = 0.0
-    for d in dirs:
-        lhs = mk.weight_at(d, tol) + ml.weight_at(d, tol)
-        rhs = mi.weight_at(d, tol) + mh.weight_at(d, tol)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    # a direction in several measures gives the same difference each time
+    dirs = np.vstack([mk.dirs, ml.dirs, mi.dirs, mh.dirs])
+    wk, wl, wi, wh = (m._weights_at(dirs, tol) for m in (mk, ml, mi, mh))
+    return float(np.abs((wk + wl) - (wi + wh)).max(initial=0.0))

@@ -58,10 +58,6 @@ class SphereQuadrature:
     def coarse(self):
         return None if self.companion is None else self.companion()
 
-    def integrate(self, f):
-        vals = np.asarray(f(self.nodes), float)
-        return float(self.weights @ vals)
-
     def __len__(self):
         return len(self.weights)
 

@@ -11,7 +11,8 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        convex_hull_of_radial, dual_curvature, polar,
                        radial_sum_ball, sphere_rule,
                        wulff_polar_identity_check, wulff_shape)
-from dualcurve.body_core import direction_pairs
+from dualcurve.body_core import (_hausdorff, _merge_points, direction_pairs,
+                                 match_directions)
 
 from conftest import axis_box, cube, random_symmetric_polytope
 
@@ -269,6 +270,77 @@ def test_kd_tree_queries_match_pairwise_arrays(seed, dim):
         if factor < 1.0:
             with pytest.raises(GeometryError, match="pairwise distinct"):
                 DiscreteSphericalMeasure(twins, np.ones(len(twins)))
+
+
+def _merge_points_pairwise(pts, tol):
+    """The (N, N) reference for the greedy dedupe of _merge_points."""
+    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= tol
+    keep = []
+    absorbed = np.zeros(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        if absorbed[i]:
+            continue
+        keep.append(i)
+        absorbed |= close[i]
+    return pts[keep]
+
+
+def _hausdorff_pairwise(a, b):
+    """The (a, b) distance-matrix reference for _hausdorff."""
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_point_matchers_match_pairwise_arrays(seed, dim):
+    rng = np.random.default_rng(seed)
+    tol = 1e-9
+    pts = rng.normal(size=(int(rng.integers(2, 60)), dim))
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        # twins moved by just inside or just outside tol, and a chain of
+        # points tol / 2 apart, in random order
+        t = rng.normal(size=dim)
+        t *= factor * tol / np.linalg.norm(t)
+        k = int(rng.integers(len(pts)))
+        chain = pts[k] + np.array([0.5, 1.0, 1.5])[:, None] * t
+        cloud = np.vstack([pts, pts[:5] + t, chain])
+        cloud = cloud[rng.permutation(len(cloud))]
+        np.testing.assert_array_equal(_merge_points(cloud, tol), _merge_points_pairwise(cloud, tol))
+        other = rng.normal(size=(int(rng.integers(1, 40)), dim))
+        other[0] = pts[k] + t
+        assert _hausdorff(pts, other) == _hausdorff_pairwise(pts, other)
+        assert _hausdorff(other, pts) == _hausdorff_pairwise(other, pts)
+
+
+def test_matchers_include_points_exactly_tol_away():
+    a, b = np.array([[0.0, 0.0]]), np.array([[1e-9, 0.0]])
+    np.testing.assert_array_equal(match_directions(a, b, 1e-9), [0])
+    np.testing.assert_array_equal(match_directions(b, a, 1e-9), [0])
+    assert len(_merge_points(np.vstack([a, b]), 1e-9)) == 1
+    np.testing.assert_array_equal(match_directions(a, b, np.nextafter(1e-9, 0.0)), [-1])
+    assert len(_merge_points(np.vstack([a, b]), np.nextafter(1e-9, 0.0))) == 2
+    # greedy: an absorbed point absorbs nothing, so the chain's third point,
+    # within tol of the second only, is kept
+    chain = np.array([[0.0, 0.0], [6e-10, 0.0], [1.2e-9, 0.0]])
+    np.testing.assert_array_equal(_merge_points(chain, 1e-9), chain[[0, 2]])
+
+
+def test_match_directions_picks_the_nearest_within_tol():
+    b = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    a = np.array([[0.0, 1.0 + 4e-10], [1e-10, 1.0], [0.6, 0.8], [-1.0, 3e-10]])
+    np.testing.assert_array_equal(match_directions(a, b, 1e-9), [1, 1, -1, 2])
+    np.testing.assert_array_equal(match_directions(a, b[:0], 1e-9), [-1] * 4)
+    assert match_directions(a[:0], b, 1e-9).shape == (0,)
+
+
+def test_vpolytope_refuses_non_finite_points():
+    pts = np.array([[1.0, 0], [-1, 1], [-1, -1], [np.inf, 0]])
+    with pytest.raises(GeometryError, match="finite"):
+        VPolytope(pts)
+    pts[-1, 0] = np.nan
+    with pytest.raises(GeometryError, match="finite"):
+        VPolytope(pts)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -7,6 +11,7 @@ from scipy import integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualcurve
 from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        GeometryError, HPolytope, VPolytope,
                        cone_volume_measure, dual_area, dual_curvature,
@@ -471,6 +476,167 @@ def test_measure_distances():
     assert measure_l1(a, b) == pytest.approx(5.0)
     assert a.weight_at(np.array([1.0, 0])) == pytest.approx(1.0)
     assert a.weight_at(np.array([0.0, 1.0])) == 0.0
+    with pytest.raises(GeometryError, match="expected 1"):
+        a.weight_at(np.array([np.nan, 0.0]))
+
+
+def _weight_at_pairwise(mu, v, tol):
+    """The loop reference for weight_at: the nearest atom, if within tol."""
+    d = np.linalg.norm(mu.dirs - v, axis=1)
+    j = int(np.argmin(d))
+    return float(mu.weights[j]) if d[j] <= tol else 0.0
+
+
+def _max_discrepancy_pairwise(mu_a, mu_b, tol):
+    worst = 0.0
+    for d, w in zip(mu_a.dirs, mu_a.weights):
+        worst = max(worst, abs(w - _weight_at_pairwise(mu_b, d, tol)))
+    for d, w in zip(mu_b.dirs, mu_b.weights):
+        worst = max(worst, abs(w - _weight_at_pairwise(mu_a, d, tol)))
+    return worst
+
+
+def _l1_pairwise(mu_a, mu_b, tol):
+    seen = []
+    total = 0.0
+    for d, w in zip(mu_a.dirs, mu_a.weights):
+        total += abs(w - _weight_at_pairwise(mu_b, d, tol))
+        seen.append(d)
+    for d, w in zip(mu_b.dirs, mu_b.weights):
+        if any(np.linalg.norm(d - s) <= tol for s in seen):
+            continue
+        total += abs(w - _weight_at_pairwise(mu_a, d, tol))
+    return total
+
+
+def _intersect_pairwise(K, L, tol):
+    """The loop reference for intersect_hpolytopes: (normals, offsets)."""
+    normals = [row for row in K.normals]
+    offsets = [h for h in K.offsets]
+    for v, h in zip(L.normals, L.offsets):
+        dup = None
+        for j, w in enumerate(normals):
+            if np.linalg.norm(w - v) <= tol:
+                dup = j
+                break
+        if dup is None:
+            normals.append(v)
+            offsets.append(h)
+        else:
+            offsets[dup] = min(offsets[dup], h)
+    return np.array(normals), np.array(offsets)
+
+
+def _valuation_pairwise(K, L, q, tol):
+    """The loop reference for valuation_check's value, over a merged
+    direction list."""
+    inter = HPolytope(*_intersect_pairwise(K, L, tol), validate=False)
+    mk, ml = dual_curvature(K, q), dual_curvature(L, q)
+    mi, mh = dual_curvature(inter, q), dual_curvature(hull_of_union(K, L), q)
+    dirs = [d for d in mk.dirs]
+    for m in (ml, mi, mh):
+        for d in m.dirs:
+            if not any(np.linalg.norm(d - s) <= tol for s in dirs):
+                dirs.append(d)
+    worst = 0.0
+    for d in dirs:
+        lhs = _weight_at_pairwise(mk, d, tol) + _weight_at_pairwise(ml, d, tol)
+        rhs = _weight_at_pairwise(mi, d, tol) + _weight_at_pairwise(mh, d, tol)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _nudge(rng, v, factor, tol):
+    """v moved by factor * tol in a random direction, renormalized."""
+    t = rng.normal(size=len(v))
+    t -= (t @ v) * v
+    t *= factor * tol / np.linalg.norm(t)
+    return (v + t) / np.linalg.norm(v + t)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_measure_comparisons_match_loop_references(seed, dim):
+    rng = np.random.default_rng(seed)
+    tol = 1e-9
+    m = int(rng.integers(3, 50))
+    v = rng.normal(size=(m, dim))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    a = DiscreteSphericalMeasure(v, rng.uniform(0.1, 1.0, size=m))
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        # b shares a random part of a's directions, in another order, moves
+        # one of a's by just inside or just outside tol, and adds new ones
+        k = int(rng.integers(m))
+        shared = rng.permutation(np.delete(np.arange(m), k))[:int(rng.integers(0, m))]
+        fresh = rng.normal(size=(int(rng.integers(0, 10)), dim))
+        fresh /= np.linalg.norm(fresh, axis=1)[:, None]
+        w = np.vstack([v[shared], _nudge(rng, v[k], factor, tol)[None, :], fresh])
+        b = DiscreteSphericalMeasure(w, rng.uniform(0.1, 1.0, size=len(w)))
+        for mu, other in ((a, b), (b, a)):
+            for d in np.vstack([v, w]):
+                assert mu.weight_at(d, tol) == _weight_at_pairwise(mu, d, tol)
+            assert measure_max_discrepancy(mu, other, tol) == _max_discrepancy_pairwise(mu, other, tol)
+            # the sums run in another order
+            assert measure_l1(mu, other, tol) == pytest.approx(_l1_pairwise(mu, other, tol),
+                                                               rel=1e-15, abs=0.0)
+        moved = abs(a.weight_at(w[len(shared)], tol) - a.weights[k])
+        assert (moved == 0.0) == (factor < 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_set_operations_match_loop_references(seed, dim):
+    rng = np.random.default_rng(seed)
+    tol = 1e-9
+    K = random_symmetric_polytope(rng, dim=dim, pairs=dim + 2)
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        # L is K with facet k turned by just inside or just outside tol and
+        # moved in, so L lies in K and K u L = K is convex
+        k = int(rng.integers(len(K.normals)))
+        normals, offsets = K.normals.copy(), K.offsets.copy()
+        normals[k] = _nudge(rng, normals[k], factor, tol)
+        offsets[k] *= 0.5
+        L = HPolytope(normals, offsets)
+        inter = intersect_hpolytopes(K, L, tol)
+        want = _intersect_pairwise(K, L, tol)
+        np.testing.assert_array_equal(inter.normals, want[0])
+        np.testing.assert_array_equal(inter.offsets, want[1])
+        assert len(inter.normals) == len(K.normals) + (factor > 1.0)
+        for q in (0.5, 2.0, float(dim)):
+            assert valuation_check(K, L, q, tol) == _valuation_pairwise(K, L, q, tol)
+
+
+# builds a VPolytope of 20000 points and compares two 4000-atom measures
+# under a 2 GiB address-space cap; pairwise (N, N) arrays would need more
+# than 3 GB
+BIG_INPUT_SCRIPT = textwrap.dedent("""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    import numpy as np
+    import dualcurve as dc
+    rng = np.random.default_rng(0)
+    body = dc.VPolytope(rng.normal(size=(20000, 3)))
+    assert 3 < len(body.vertices) < 20000
+    v = rng.normal(size=(4000, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    wa, wb = rng.uniform(0.1, 1.0, size=(2, 4000))
+    a = dc.DiscreteSphericalMeasure(v, wa)
+    order = rng.permutation(4000)
+    b = dc.DiscreteSphericalMeasure(v[order], wb[order])
+    assert dc.measure_max_discrepancy(a, b) == np.abs(wa - wb).max()
+    assert abs(dc.measure_l1(a, b) - np.abs(wa - wb).sum()) <= 1e-12 * wa.sum()
+    print("ok")
+""")
+
+
+def test_big_inputs_fit_in_two_gib():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualcurve.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BIG_INPUT_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_vpolytope_accepted_by_measures():
