@@ -62,6 +62,27 @@ def match_directions(a, b, tol=1e-9):
     return j
 
 
+def unit_rows(v, what):
+    """Validate a matrix of unit row vectors and pair them once.
+
+    A row whose norm is not within 1e-9 of 1 (a non-finite row included)
+    raises GeometryError; rows visibly off are renormalized.  Returns the
+    read-only rows with direction_pairs of them: whether two rows lie
+    within 1e-9 of each other, and the antipode index (or None).
+    """
+    rows = np.atleast_2d(np.asarray(v, float)).copy()
+    if rows.ndim != 2:
+        raise GeometryError(f"{what} must be a matrix of row vectors")
+    norms = np.linalg.norm(rows, axis=1)
+    if not (np.abs(norms - 1.0) <= 1e-9).all():
+        raise GeometryError(f"{what} must be finite unit vectors")
+    fix = np.abs(norms - 1.0) > 1e-12
+    if fix.any():
+        rows[fix] /= norms[fix, None]
+    rows.flags.writeable = False
+    return (rows, *direction_pairs(rows))
+
+
 def unit(v):
     v = np.asarray(v, float)
     n = np.linalg.norm(v)
@@ -203,44 +224,31 @@ class HPolytope:
     refused at construction; otherwise on first use of the geometry.
     antipode[i] is the index of the normal -v_i (None when some normal
     has no mirror); with_offsets shares it, as the normals do not change.
+    symmetric is read off the offsets: every antipodal pair has equal
+    offsets within 1e-9.
     """
 
-    def __init__(self, normals, offsets, symmetric=None, validate=True):
-        normals = np.atleast_2d(np.asarray(normals, float)).copy()
-        if normals.ndim != 2:
-            raise GeometryError("normals must be a matrix of row vectors")
+    def __init__(self, normals, offsets, validate=True):
+        normals, close, self.antipode = unit_rows(normals, "facet normals")
         require_dim(normals.shape[1])
-        norms = np.linalg.norm(normals, axis=1)
-        if (np.abs(norms - 1.0) > 1e-9).any():
-            raise GeometryError("facet normals must be unit vectors")
-        fix = np.abs(norms - 1.0) > 1e-12
-        if fix.any():
-            normals[fix] /= norms[fix, None]
-        close, self.antipode = direction_pairs(normals)
         if validate and close:
             raise GeometryError("directions must be pairwise distinct")
         self.dim = normals.shape[1]
         self.normals = normals
-        normals.flags.writeable = False
-        self._set_offsets(offsets, symmetric)
+        self._set_offsets(offsets)
         if validate:
             self._polar  # builds the hull, which refuses an unbounded body
 
-    def _set_offsets(self, offsets, symmetric):
+    def _set_offsets(self, offsets):
         offsets = np.asarray(offsets, float).copy()
         if offsets.shape != (len(self.normals),):
             raise GeometryError("normals and offsets disagree in length")
         if (offsets <= 0).any():
             raise GeometryError("offsets must be strictly positive (origin interior)")
         j = self.antipode
-        detected = j is not None and bool(
+        self.symmetric = j is not None and bool(
             (np.abs(offsets[j] - offsets) <= 1e-9 * np.maximum(1.0, offsets)).all())
-        if symmetric is None:
-            symmetric = detected
-        elif symmetric and not detected:
-            raise GeometryError("symmetric flag set but halfspaces are not origin-symmetric")
         self.offsets = offsets
-        self.symmetric = bool(symmetric)
         offsets.flags.writeable = False
         self._polar_hull = None
         self._areas = None
@@ -316,7 +324,7 @@ class HPolytope:
         """Same normal set and antipode index, new offsets; the symmetry test
         is one offset comparison per halfspace."""
         body = copy.copy(self)
-        body._set_offsets(offsets, None)
+        body._set_offsets(offsets)
         return body
 
     # -- io ----------------------------------------------------------------
@@ -346,12 +354,12 @@ class VPolytope:
     """Convex hull of a finite point set containing the origin inside.
 
     The stored vertex list is irredundant: the Qhull hull of the points
-    prunes those inside it at construction (assume_extreme=True skips
-    that).  validate=False with assume_extreme=True defers the hull, and
-    with it the origin-interior test, to to_hpolytope.
+    prunes those inside it at construction.  assume_extreme=True takes the
+    points as the vertex list and defers the hull, and with it the
+    origin-interior test, to to_hpolytope.
     """
 
-    def __init__(self, vertices, validate=True, assume_extreme=False):
+    def __init__(self, vertices, assume_extreme=False):
         vertices = np.atleast_2d(np.asarray(vertices, float)).copy()
         if vertices.ndim != 2:
             raise GeometryError("vertices must be a matrix of row vectors")
@@ -360,10 +368,9 @@ class VPolytope:
         scale = max(1.0, float(np.max(np.abs(vertices))))
         vertices = _merge_points(vertices, MERGE_TOL * scale)
         self._hull = None
-        if validate or not assume_extreme:
+        if not assume_extreme:
             self._hull = _qhull(vertices, "origin not interior")
-            if not assume_extreme:
-                vertices = vertices[self._hull.vertices]
+            vertices = vertices[self._hull.vertices]
         self.dim = n
         self.vertices = vertices
         self.vertices.flags.writeable = False
@@ -485,11 +492,6 @@ class Ellipsoid(SmoothBody):
 # -- generic operations ---------------------------------------------------
 
 
-def support(body, v):
-    """Largest x.v over the body; positive since the origin is interior."""
-    return body.support(v)
-
-
 def radial(body, u):
     """Largest t with t*u in the body."""
     return body.radial(u)
@@ -502,7 +504,7 @@ def polar(body):
         if not act.any():
             raise GeometryError("polar undefined")
         pts = body.normals[act] / body.offsets[act, None]
-        return VPolytope(pts, validate=False, assume_extreme=True)
+        return VPolytope(pts, assume_extreme=True)
     if isinstance(body, VPolytope):
         normals = np.array([unit(x) for x in body.vertices])
         offsets = 1.0 / np.linalg.norm(body.vertices, axis=1)

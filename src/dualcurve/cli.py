@@ -62,14 +62,14 @@ def _load_json(path):
 def _load_body(path):
     try:
         return body_from_dict(_load_json(path))
-    except GeometryError as exc:
-        _fail(str(exc))
+    except (ValueError, KeyError, TypeError) as exc:
+        _fail(f"invalid body file: {exc}")
 
 
 def _load_measure(path):
     try:
         return ms.DiscreteSphericalMeasure.from_dict(_load_json(path))
-    except (GeometryError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         _fail(f"invalid measure file: {exc}")
 
 
@@ -237,8 +237,8 @@ def _suite_valuation(body, qs, rng):
         lo2[2] = -(abs(lo[2]) + stretch)
         hi2[2] = hi[2] * float(rng.uniform(0.4, 0.9))
         other = _box(lo2, hi2)
-        disc = ms.valuation_check(body, other, q)
-        scale = max(ms.dual_curvature(body, q).weights.max(), 1e-300)
+        disc, mk = ms._valuation(body, other, q)
+        scale = max(mk.weights.max(), 1e-300)
         checks.append({"name": f"valuation q={q:g}", "value": disc / scale, "bound": 1e-5})
     return checks
 

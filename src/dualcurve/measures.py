@@ -32,8 +32,8 @@ import math
 import numpy as np
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
-                        VPolytope, as_direction, direction_pairs,
-                        match_directions)
+                        VPolytope, as_direction, match_directions,
+                        unit_rows)
 from .gauss_maps import ConeCell, cone_partition, fan_rows
 from .quadrature import _panel_counts, panel_rule, sphere_rule, spherical_polygon_rule
 
@@ -44,43 +44,26 @@ class DiscreteSphericalMeasure:
     """Finite Borel measure on the sphere given by weighted unit-vector atoms.
 
     antipode[i] is the index of the atom direction -dirs[i] (None when some
-    direction has no antipode).
+    direction has no antipode).  even is read off the weights: every
+    antipodal pair has equal weights within 1e-9 of the largest (or of 1).
     """
 
-    def __init__(self, dirs, weights, even=None):
-        dirs = np.atleast_2d(np.asarray(dirs, float)).copy()
+    def __init__(self, dirs, weights):
         weights = np.asarray(weights, float).copy()
+        dirs, close, self.antipode = unit_rows(dirs, "atom directions")
         if len(dirs) != len(weights):
             raise GeometryError("atom directions and weights disagree in length")
-        norms = np.linalg.norm(dirs, axis=1)
-        if (np.abs(norms - 1.0) > 1e-9).any():
-            raise GeometryError("atom directions must be unit vectors")
-        fix = np.abs(norms - 1.0) > 1e-12
-        if fix.any():
-            dirs[fix] /= norms[fix, None]
         if (weights < 0).any():
             raise GeometryError("weights must be nonnegative")
-        close, self.antipode = direction_pairs(dirs)
         if close:
             raise GeometryError("atom directions must be pairwise distinct")
-        detected = self._detect_even(self.antipode, weights)
-        if even is None:
-            even = detected
-        elif even and not detected:
-            raise GeometryError("measure marked even but atoms are not origin-symmetric")
+        j = self.antipode
+        scale = float(weights.max(initial=1.0))
+        self.even = j is not None and bool((np.abs(weights[j] - weights) <= 1e-9 * scale).all())
         self.dim = dirs.shape[1]
         self.dirs = dirs
         self.weights = weights
-        self.even = bool(even)
-        dirs.flags.writeable = False
         weights.flags.writeable = False
-
-    @staticmethod
-    def _detect_even(antipode, weights, tol=1e-9):
-        if antipode is None:
-            return False
-        scale = max(1.0, float(weights.max()) if len(weights) else 1.0)
-        return bool((np.abs(weights[antipode] - weights) <= tol * scale).all())
 
     @property
     def total(self):
@@ -97,7 +80,7 @@ class DiscreteSphericalMeasure:
         return np.append(self.weights, 0.0)[match_directions(dirs, self.dirs, tol)]
 
     def scaled(self, c):
-        return DiscreteSphericalMeasure(self.dirs, self.weights * c, even=self.even)
+        return DiscreteSphericalMeasure(self.dirs, self.weights * c)
 
     def to_dict(self):
         return {
@@ -111,6 +94,8 @@ class DiscreteSphericalMeasure:
 
     @classmethod
     def from_dict(cls, d):
+        """The measure of a record; "even": true on atoms that are not
+        origin-symmetric is refused, any other "even" is read off the atoms."""
         atoms = d.get("atoms")
         if atoms is None:
             raise GeometryError("expected a measure record with atoms")
@@ -118,7 +103,10 @@ class DiscreteSphericalMeasure:
         weights = np.asarray([a["weight"] for a in atoms], float)
         if dirs.ndim != 2 or dirs.shape[1] != int(d["dim"]):
             raise GeometryError("atom directions do not match dim")
-        return cls(dirs, weights, even=d.get("even"))
+        mu = cls(dirs, weights)
+        if d.get("even") and not mu.even:
+            raise GeometryError("measure marked even but atoms are not origin-symmetric")
+        return mu
 
     def __len__(self):
         return len(self.weights)
@@ -325,7 +313,7 @@ def _facet_measure(P, atoms):
     """
     if P.symmetric:
         atoms = 0.5 * (atoms + atoms[P.antipode])
-    return DiscreteSphericalMeasure(P.normals, atoms, even=P.symmetric or None)
+    return DiscreteSphericalMeasure(P.normals, atoms)
 
 
 def dual_curvature(P, q):
@@ -356,20 +344,20 @@ def cone_volume_measure(P):
     """Atom i is the volume of the cone over facet i: h_i area_i / n."""
     P = _require_hpolytope(P)
     atoms = P.offsets * P.facet_areas / P.dim
-    return DiscreteSphericalMeasure(P.normals, atoms, even=P.symmetric or None)
+    return DiscreteSphericalMeasure(P.normals, atoms)
 
 
 def surface_area_measure(P):
     """Atom i is the facet's (n-1)-dimensional area."""
     P = _require_hpolytope(P)
-    return DiscreteSphericalMeasure(P.normals, P.facet_areas.copy(), even=None)
+    return DiscreteSphericalMeasure(P.normals, P.facet_areas)
 
 
 def lp_surface_area_measure(P, p):
     """Atom i is h_i^(1-p) area_i; p=1 is surface area, p=0 is n times cone volume."""
     P = _require_hpolytope(P)
     atoms = P.offsets ** (1.0 - p) * P.facet_areas
-    return DiscreteSphericalMeasure(P.normals, atoms, even=None)
+    return DiscreteSphericalMeasure(P.normals, atoms)
 
 
 # -- sphere-side integrals -------------------------------------------------
@@ -590,7 +578,7 @@ def intersect_hpolytopes(K, L, tol=1e-9):
 
 
 def hull_of_union(K, L):
-    return VPolytope(np.vstack([K.vertices, L.vertices]), validate=False).to_hpolytope()
+    return VPolytope(np.vstack([K.vertices, L.vertices])).to_hpolytope()
 
 
 def valuation_check(K, L, q, tol=1e-9):
@@ -601,6 +589,11 @@ def valuation_check(K, L, q, tol=1e-9):
     none).  Requires the union to be convex, verified by the volume
     identity V(conv(K u L)) = V(K) + V(L) - V(K n L).
     """
+    return _valuation(K, L, q, tol)[0]
+
+
+def _valuation(K, L, q, tol=1e-9):
+    """valuation_check's discrepancy with the index-q measure of K."""
     K = _require_hpolytope(K)
     L = _require_hpolytope(L)
     inter = intersect_hpolytopes(K, L)
@@ -615,4 +608,4 @@ def valuation_check(K, L, q, tol=1e-9):
     # a direction in several measures gives the same difference each time
     dirs = np.vstack([mk.dirs, ml.dirs, mi.dirs, mh.dirs])
     wk, wl, wi, wh = (m._weights_at(dirs, tol) for m in (mk, ml, mi, mh))
-    return float(np.abs((wk + wl) - (wi + wh)).max(initial=0.0))
+    return float(np.abs((wk + wl) - (wi + wh)).max(initial=0.0)), mk

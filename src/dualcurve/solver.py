@@ -148,7 +148,7 @@ def check_subspace_mass(mu, q):
     n = mu.dim
     if q <= 0 or q > n:
         raise GeometryError("q must lie in (0, n]")
-    reps = _pair_representatives(mu)
+    reps = np.flatnonzero(np.arange(len(mu)) < mu.antipode)
     worst = FeasibilityResult(True, 0.0, 1.0, None)
     for d in range(1, n):
         bound = _mass_bound(n, d, q)
@@ -182,14 +182,6 @@ def _mass_bound(n, d, q):
         return 1.0
     qp = q / (q - 1.0)
     return 1.0 - (n - d) / ((n - 1.0) * qp)
-
-
-def _pair_representatives(mu):
-    """The lower index of each antipodal pair of atom directions."""
-    j = mu.antipode
-    if j is None:
-        raise GeometryError("measure must be even")
-    return [i for i in range(len(j)) if i < j[i]]
 
 
 def phi_mu(K, mu, q):
@@ -229,31 +221,27 @@ def _as_wulff_on(K, mu, tol=1e-9):
     return wulff_shape(mu.dirs, hs)
 
 
-def _pair_matrix(partner):
-    """The m x r 0/1 matrix taking one unknown per antipodal pair to the m
-    log offsets."""
-    reps = np.flatnonzero(np.arange(len(partner)) < partner)
-    pair = np.empty(len(partner), dtype=int)
-    pair[reps] = pair[partner[reps]] = np.arange(len(reps))
-    return np.eye(len(reps))[pair]
-
-
-def _newton_direction(body, q, atoms, grad, pmat):
+def _newton_direction(body, q, atoms, grad, reps, mates):
     """The least-squares Newton step of Phi in the pair unknowns, as a
     direction in the log offsets, or None when it is not usable.
 
-    The Hessian of Phi is J/W - q a a^T/W^2 with J the atom Jacobian and W
-    the sum of the atoms; it is singular along the scale direction, hence
-    least squares.  An empty facet has a zero Jacobian row, so no Newton
-    step can bring it back: that, and a direction that does not ascend,
-    leave the step to the log-mismatch fallback.
+    Pair k holds the log offsets reps[k] and mates[k]; the reduced Hessian
+    and gradient add the rows and columns of each pair.  The Hessian of Phi
+    is J/W - q a a^T/W^2 with J the atom Jacobian and W the sum of the
+    atoms; it is singular along the scale direction, hence least squares.
+    An empty facet has a zero Jacobian row, so no Newton step can bring it
+    back: that, and a direction that does not ascend, leave the step to the
+    log-mismatch fallback.
     """
     if not (atoms > 0).all():
         return None
     w = float(atoms.sum())
     hess = _atom_jacobian(body, q, atoms) / w - q * np.outer(atoms, atoms) / w**2
-    step, *_ = np.linalg.lstsq(pmat.T @ hess @ pmat, -(pmat.T @ grad), rcond=None)
-    d = pmat @ step
+    hess = hess[reps] + hess[mates]
+    step, *_ = np.linalg.lstsq(hess[:, reps] + hess[:, mates], -(grad[reps] + grad[mates]),
+                               rcond=None)
+    d = np.empty(len(atoms))
+    d[reps] = d[mates] = step
     if not (np.isfinite(d).all() and grad @ d > 0):
         return None
     return d
@@ -289,7 +277,9 @@ def solve_dual_minkowski(mu, cfg):
     omega = unit_ball_volume(n)
 
     base = wulff_shape(dirs, np.ones(len(dirs)))
-    pmat = _pair_matrix(base.antipode)
+    # one unknown per antipodal pair: the lower index and its mate
+    reps = np.flatnonzero(np.arange(len(dirs)) < mu.antipode)
+    mates = mu.antipode[reps]
 
     def phi_from_atoms(x_full, atoms):
         w = float(atoms.sum())
@@ -318,7 +308,7 @@ def solve_dual_minkowski(mu, cfg):
         if len(direction_trace) == cfg.max_iter:
             stop_reason = MAX_ITER
             break
-        d = _newton_direction(body, q, atoms, grad, pmat)
+        d = _newton_direction(body, q, atoms, grad, reps, mates)
         if d is not None:
             direction_trace.append("newton")
             # a Newton step has its natural length: try the full step first
@@ -329,7 +319,7 @@ def solve_dual_minkowski(mu, cfg):
             with np.errstate(divide="ignore"):
                 d = np.log(np.maximum(atoms / atoms.sum(), 1e-300)) - np.log(gamma / total)
             d = np.clip(d, -50.0, 50.0)  # keeps exp(x + step*d) finite
-            d = pmat @ (0.5 * (pmat.T @ d))  # one value per pair
+            d = 0.5 * (d + d[mu.antipode])  # one value per pair
             direction_trace.append("fallback")
             # warm start: retry near the last accepted step instead of STEP_INIT
             step = min(STEP_INIT, last_step / STEP_SHRINK)

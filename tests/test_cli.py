@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,3 +289,51 @@ def test_import_does_not_load_scipy_stats():
 def test_import_does_not_load_scipy_integrate():
     # scipy.integrate took about a quarter of the package's import time
     assert not _loaded_by_import("scipy.integrate")
+
+
+_SQUARE = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+MALFORMED_BODIES = {
+    "nan normal": {"type": "hpolytope", "dim": 2, "normals": [[math.nan, 0.0]] + _SQUARE[1:],
+                   "offsets": [1.0] * 4},
+    "no offsets": {"type": "hpolytope", "dim": 2, "normals": _SQUARE},
+}
+MALFORMED_MEASURES = {
+    "nan direction": {"dim": 2, "atoms": [{"dir": d, "weight": 1.0}
+                                          for d in [[math.nan, 0.0]] + _SQUARE[1:]]},
+    "ragged directions": {"dim": 2, "atoms": [{"dir": [1.0, 0.0], "weight": 1.0},
+                                              {"dir": [0.0, 1.0, 0.0], "weight": 1.0}]},
+}
+
+
+@pytest.mark.parametrize("command, payload", [
+    *(pytest.param("compute", b, id=f"compute-{k}") for k, b in MALFORMED_BODIES.items()),
+    *(pytest.param(c, m, id=f"{c}-{k}") for c in ("check-smi", "solve")
+      for k, m in MALFORMED_MEASURES.items()),
+])
+def test_malformed_files_exit_2(runner, tmp_path, command, payload):
+    res = runner.invoke(main, [command, _write(tmp_path, "bad.json", payload), "--q", "1"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ")
+
+
+def test_valuation_suite_evaluates_each_measure_once(monkeypatch):
+    # four dual curvature measures per index (K, L, their intersection and
+    # their hull), the scale read off K's
+    from dualcurve import cli, measures
+
+    calls = []
+    evaluate = measures.dual_curvature
+    monkeypatch.setattr(measures, "dual_curvature",
+                        lambda body, q: calls.append(q) or evaluate(body, q))
+    qs = (0.5, 1.0, 2.0, 3.0)
+    checks = cli._suite_valuation(cube(), qs, np.random.default_rng(5))
+    assert len(calls) == 16
+    monkeypatch.undo()
+    rng = np.random.default_rng(5)
+    for q, check in zip(qs, checks):
+        lo, hi = -np.ones(3), np.ones(3)
+        lo[2] = -(1.0 + float(rng.uniform(0.3, 1.5)))
+        hi[2] = float(rng.uniform(0.4, 0.9))
+        other = cli._box(lo, hi)
+        disc = measures.valuation_check(cube(), other, q)
+        assert check["value"] == disc / dual_curvature(cube(), q).weights.max()

@@ -448,15 +448,33 @@ def test_measure_construction_validation():
         DiscreteSphericalMeasure(np.array([[1.0, 0], [0, 1.0]]), np.array([1.0, -2.0]))
     with pytest.raises(GeometryError):
         DiscreteSphericalMeasure(np.array([[1.0, 0], [1.0, 0]]), np.ones(2))
-    with pytest.raises(GeometryError):
-        DiscreteSphericalMeasure(np.array([[1.0, 0], [0, 1.0]]), np.array([1.0, 2.0]),
-                                 even=True)
+    record = DiscreteSphericalMeasure(np.array([[1.0, 0], [0, 1.0]]), np.ones(2)).to_dict()
+    record["even"] = True
+    with pytest.raises(GeometryError, match="marked even"):
+        DiscreteSphericalMeasure.from_dict(record)
 
 
 def test_measure_even_detection():
     dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
     assert DiscreteSphericalMeasure(dirs, np.array([1.0, 1, 2, 2])).even
     assert not DiscreteSphericalMeasure(dirs, np.array([1.0, 2, 1, 2])).even
+    # a record's "even": false does not override what the atoms show
+    record = DiscreteSphericalMeasure(dirs, np.array([1.0, 1, 2, 2])).to_dict()
+    record["even"] = False
+    assert DiscreteSphericalMeasure.from_dict(record).even
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda dirs: HPolytope(dirs, np.ones(len(dirs))),
+    lambda dirs: HPolytope(dirs, np.ones(len(dirs)), validate=False),
+    lambda dirs: DiscreteSphericalMeasure(dirs, np.ones(len(dirs))),
+], ids=["hpolytope", "lazy hpolytope", "measure"])
+def test_non_finite_directions_refused(build, bad):
+    dirs = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    dirs[2, 1] = bad
+    with pytest.raises(GeometryError, match="finite unit vectors"):
+        build(dirs)
 
 
 def test_measure_round_trip():

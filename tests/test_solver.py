@@ -8,13 +8,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcurve import (DiscreteSphericalMeasure, GeometryError, SolverConfig,
+from dualcurve import (DiscreteSphericalMeasure, GeometryError, HPolytope, SolverConfig,
                        check_subspace_mass, dual_curvature, measure_l1,
                        phi_gradient, phi_mu, solve_dual_minkowski)
 from dualcurve import solver
 from dualcurve.cli import _round_tree, main
-from dualcurve.solver import (FeasibilityResult, SubspaceQuery, _mass_bound,
-                              _pair_representatives)
+from dualcurve.measures import _atom_jacobian, _atoms
+from dualcurve.solver import FeasibilityResult, SubspaceQuery, _mass_bound
 
 from conftest import cube, random_symmetric_polytope
 
@@ -151,7 +151,7 @@ def _subspace_mass_reference(mu, q):
     """check_subspace_mass as one membership test per atom and subset."""
     total = mu.total
     n = mu.dim
-    reps = _pair_representatives(mu)
+    reps = [i for i, j in enumerate(mu.antipode) if i < j]
     worst = FeasibilityResult(True, 0.0, 1.0, None)
     for d in range(1, n):
         bound = _mass_bound(n, d, q)
@@ -360,9 +360,9 @@ def test_empty_facet_mid_solve_takes_the_fallback(monkeypatch):
     empty = []
     newton = solver._newton_direction
 
-    def spy(body, q, atoms, grad, pmat):
+    def spy(body, q, atoms, grad, *rest):
         empty.append(not (atoms > 0).all())
-        return newton(body, q, atoms, grad, pmat)
+        return newton(body, q, atoms, grad, *rest)
 
     monkeypatch.setattr(solver, "_newton_direction", spy)
     rep = solve_dual_minkowski(mu, SolverConfig(q=1.0, tol=1e-6))
@@ -388,3 +388,83 @@ def test_stop_reasons():
     assert refused.stop_reason == "infeasible"
     assert refused.message == "subspace mass bound violated"
     assert refused.evaluations == 0
+
+
+def _pair_matrix(antipode):
+    """The dense m x r 0/1 matrix taking one unknown per antipodal pair to
+    the m log offsets: the oracle for the solver's pair index fold."""
+    reps = np.flatnonzero(np.arange(len(antipode)) < antipode)
+    pair = np.empty(len(antipode), dtype=int)
+    pair[reps] = pair[antipode[reps]] = np.arange(len(reps))
+    return np.eye(len(reps))[pair]
+
+
+@pytest.mark.parametrize("dim, pairs", [(2, 5), (3, 6), (3, 10)])
+def test_pair_index_fold_equals_dense_pair_matrix(monkeypatch, dim, pairs):
+    rng = np.random.default_rng(dim * pairs)
+    p = random_symmetric_polytope(rng, dim=dim, pairs=pairs)
+    # shuffled halfspaces, so a pair is not (i, i + r)
+    order = rng.permutation(len(p.normals))
+    p = HPolytope(p.normals[order], p.offsets[order])
+    q = 1.5
+    atoms = _atoms(p, q)
+    gamma = rng.uniform(1.0, 1.3, size=pairs)[np.arange(2 * pairs) % pairs]
+    grad = atoms / atoms.sum() - gamma / gamma.sum()
+    reps = np.flatnonzero(np.arange(len(atoms)) < p.antipode)
+    mates = p.antipode[reps]
+    seen = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        seen.append((a, b))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    d = solver._newton_direction(p, q, atoms, grad, reps, mates)
+    monkeypatch.undo()
+    w = float(atoms.sum())
+    hess = _atom_jacobian(p, q, atoms) / w - q * np.outer(atoms, atoms) / w**2
+    pmat = _pair_matrix(p.antipode)
+    (a, b), = seen
+    np.testing.assert_array_equal(a, pmat.T @ hess @ pmat)
+    np.testing.assert_array_equal(b, -(pmat.T @ grad))
+    step, *_ = lstsq(pmat.T @ hess @ pmat, -(pmat.T @ grad), rcond=None)
+    assert d is not None
+    np.testing.assert_array_equal(d, pmat @ step)
+    fallback = rng.normal(size=len(atoms))
+    np.testing.assert_array_equal(0.5 * (fallback + fallback[p.antipode]),
+                                  pmat @ (0.5 * (pmat.T @ fallback)))
+
+
+def _lopsided_axes_measure():
+    return DiscreteSphericalMeasure(np.vstack([np.eye(3), -np.eye(3)]),
+                                    np.array([5.0, 1.0, 0.7, 5.0, 1.0, 0.7]))
+
+
+def test_line_search_stalls_below_phi_rounding():
+    # at tol 1e-16 the residual (about 4e-16) never gets there: once Phi
+    # moves by its rounding only, every trial fails and the search stalls
+    rep = solve_dual_minkowski(_lopsided_axes_measure(), SolverConfig(q=1.0, tol=1e-16))
+    assert rep.stop_reason == "line_search_stalled"
+    assert rep.message == "line search stalled" and not rep.converged
+    assert (np.diff(rep.phi_trace) >= 0.0).all()
+    assert rep.step_trace[-1] == 0.0 and 0.0 not in rep.step_trace[:-1]
+    assert len(rep.phi_trace) == rep.iterations
+    # the start, every trial and the rescaled result, with no accepted
+    # trial in the last iteration (a converged solve has one more)
+    assert rep.evaluations == rep.iterations + rep.rejected_trials + 1
+    assert rep.residual < 1e-12
+
+
+def test_cli_solve_exits_4_on_a_stalled_line_search(tmp_path):
+    path = tmp_path / "aniso.json"
+    path.write_text(json.dumps(_lopsided_axes_measure().to_dict()))
+    trace = tmp_path / "trace.csv"
+    res = CliRunner().invoke(main, ["solve", str(path), "--q", "1", "--tol", "1e-16",
+                                    "--trace", str(trace)])
+    assert res.exit_code == 4
+    summary = json.loads(res.stdout)
+    assert summary["stop_reason"] == "line_search_stalled"
+    rows = trace.read_text().splitlines()[1:]
+    assert len(rows) == summary["iterations"] == 8
+    assert rows[-1].split(",")[3] == "0"

@@ -112,3 +112,26 @@ def test_step_shrinks_when_activity_changes():
     assert (plus.active == p.active).all() and (minus.active == p.active).all()
     err = check_dual_variation(p, f, 2.0, t_step=1e-4)
     assert err <= 1e-3
+
+
+def test_stencil_falls_through_after_three_shrinks():
+    # the halfspace x + y <= 2 touches the square [-1, 1]^2 at one corner:
+    # with f = -1 on it, any +t cuts the corner and -t leaves it empty, so
+    # no step keeps the active set and the stencil gives up at 1e-7
+    import dualcurve.variational as va
+    from dualcurve import HPolytope
+
+    s = np.sqrt(2.0)
+    vs = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1], [1 / s, 1 / s]])
+    p = HPolytope(vs, np.array([1.0, 1, 1, 1, s]))
+    assert not p.active[4]
+    f = np.array([0.0, 0, 0, 0, -1])
+    fam = va.LogFamily(p, f)
+    t, plus, minus = va._stencil(p, fam.offsets_at, 1e-4)
+    assert t == pytest.approx(1e-7)
+    np.testing.assert_array_equal(plus.offsets, fam.offsets_at(t))
+    np.testing.assert_array_equal(minus.offsets, fam.offsets_at(-t))
+    assert plus.active[4] and not minus.active[4]
+    for err in (check_dual_variation(p, f, 1.0), check_dual_variation(p, f, 2.0),
+                check_q0_variation(p, f), check_aleksandrov(p, f)):
+        assert np.isfinite(err)
