@@ -219,25 +219,24 @@ class HPolytope:
     Immutable after construction.  Vertices, facet incidence, edges, areas
     and activity flags come lazily from one Qhull hull of the polar points
     v_i/h_i and are cached.  Halfspaces whose facet is empty are kept and
-    flagged inactive rather than dropped.  validate=True also refuses
-    repeated normals and builds the hull at once, so an unbounded body is
-    refused at construction; otherwise on first use of the geometry.
-    antipode[i] is the index of the normal -v_i (None when some normal
-    has no mirror); with_offsets shares it, as the normals do not change.
-    symmetric is read off the offsets: every antipodal pair has equal
-    offsets within 1e-9.
+    flagged inactive rather than dropped.  Repeated normals are refused,
+    and the hull is built at once, so an unbounded body is refused at
+    construction (with_offsets builds its hull on first use).  antipode[i]
+    is the index of the normal -v_i (None when some normal has no mirror);
+    with_offsets shares it, as the normals do not change.  symmetric is
+    read off the offsets: every antipodal pair has equal offsets within
+    1e-9.
     """
 
-    def __init__(self, normals, offsets, validate=True):
+    def __init__(self, normals, offsets):
         normals, close, self.antipode = unit_rows(normals, "facet normals")
         require_dim(normals.shape[1])
-        if validate and close:
+        if close:
             raise GeometryError("directions must be pairwise distinct")
         self.dim = normals.shape[1]
         self.normals = normals
         self._set_offsets(offsets)
-        if validate:
-            self._polar  # builds the hull, which refuses an unbounded body
+        self._polar  # builds the hull, which refuses an unbounded body
 
     def _set_offsets(self, offsets):
         offsets = np.asarray(offsets, float).copy()
@@ -390,7 +389,7 @@ class VPolytope:
                 self._hull = _qhull(self.vertices, "origin not interior")
             eq = self._hull.equations
             _, first = _merge_simplices(self._hull, eq[:, :-1], MERGE_TOL)
-            self._hrep = HPolytope(eq[first, :-1], -eq[first, -1], validate=False)
+            self._hrep = HPolytope(eq[first, :-1], -eq[first, -1])
         return self._hrep
 
     def volume(self):
@@ -508,7 +507,7 @@ def polar(body):
     if isinstance(body, VPolytope):
         normals = np.array([unit(x) for x in body.vertices])
         offsets = 1.0 / np.linalg.norm(body.vertices, axis=1)
-        return HPolytope(normals, offsets, validate=False)
+        return HPolytope(normals, offsets)
     if isinstance(body, Ball):
         return Ball(1.0 / body.radius, body.dim)
     if isinstance(body, Ellipsoid):

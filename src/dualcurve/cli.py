@@ -243,15 +243,21 @@ def _suite_valuation(body, qs, rng):
     return checks
 
 
-def _suite_steiner(body, qs, rng):
-    ts = np.linspace(0.1, 1.0, max(body.dim + 2, 8))
+def _steiner_fit(body, ts=None):
+    """The Steiner coefficients fitted at ts (default: max(n + 2, 8) points
+    in [0.1, 1]), the direct dual quermassintegrals of index 0..n, and the
+    fitted coefficients' relative errors against them."""
+    if ts is None:
+        ts = np.linspace(0.1, 1.0, max(body.dim + 2, 8))
     fitted = ms.dual_steiner_check(body, ts)
-    checks = []
-    for i, coef in enumerate(fitted):
-        direct = ms.dual_quermassintegral(body, i).value
-        err = abs(coef - direct) / max(abs(direct), 1e-300)
-        checks.append({"name": f"steiner coefficient i={i}", "value": err, "bound": 1e-4})
-    return checks
+    direct = [ms.dual_quermassintegral(body, i).value for i in range(body.dim + 1)]
+    errs = [abs(f - d) / max(abs(d), 1e-300) for f, d in zip(fitted, direct)]
+    return fitted, direct, errs
+
+
+def _suite_steiner(body, qs, rng):
+    return [{"name": f"steiner coefficient i={i}", "value": err, "bound": 1e-4}
+            for i, err in enumerate(_steiner_fit(body)[2])]
 
 
 def _is_axis_box(body):
@@ -281,7 +287,7 @@ def _box(lo, hi):
         e[k] = 1.0
         normals.extend([e, -e])
         offsets.extend([hi[k], -lo[k]])
-    return HPolytope(np.array(normals), np.array(offsets), validate=False)
+    return HPolytope(np.array(normals), np.array(offsets))
 
 
 @main.command()
@@ -330,19 +336,16 @@ def steiner(body_path, t_samples, out):
     body = _load_body(body_path)
     if not isinstance(body, HPolytope):
         body = body.to_hpolytope()
+    ts = None
     if t_samples:
         try:
             ts = np.array([float(s) for s in t_samples.split(",")])
         except ValueError:
             _fail("bad --t-samples; expected comma-separated floats")
-    else:
-        ts = np.linspace(0.1, 1.0, max(body.dim + 2, 8))
     try:
-        fitted = ms.dual_steiner_check(body, ts)
+        fitted, direct, errs = _steiner_fit(body, ts)
     except GeometryError as exc:
         _fail(str(exc))
-    direct = [ms.dual_quermassintegral(body, i).value for i in range(body.dim + 1)]
-    errs = [abs(f - d) / max(abs(d), 1e-300) for f, d in zip(fitted, direct)]
     _emit({
         "fitted": [float(c) for c in fitted],
         "direct": direct,

@@ -72,15 +72,6 @@ class ConeCell:
             side = (c @ u) / np.linalg.norm(c, axis=1)
         return bool((side >= -tol).all())
 
-    def to_dict(self):
-        return {
-            "facet_index": self.facet_index,
-            "normal": [float(x) for x in self.normal],
-            "starts": [[float(x) for x in r] for r in self.starts],
-            "ends": [[float(x) for x in r] for r in self.ends],
-            "solid_angle": self._solid_angle,
-        }
-
 
 def radial_batch(normals, offsets, dirs, tie_tol=TIE_TOL):
     """Radial function of {x : x.v_i <= h_i} on a batch of unit directions.

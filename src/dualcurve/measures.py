@@ -16,13 +16,14 @@ about 1e-14 with no tuning knobs: the panel counts follow from the
 longest range in w.  The q = 0 atoms are the closed-form solid angles of
 the cone cells (gauss_maps.cone_partition).
 
-The sphere-side integrals behind dual_quermassintegral are the
-independent cross-check path: they evaluate rho on the sphere over the
-same rows, one signed fan triangle (in 2-d one arc) per row about the
-facet's normal, in one rule for both dimensions
-(quadrature.spherical_polygon_rule); dual_area over a cone cell takes the
-same rule on the cell's own rows.  Each rule has a coarse companion on
-the same panels, built only when the error estimate is read; their
+The sphere-side integrals are the independent cross-check path: each
+call of dual_quermassintegral, dual_area or dual_steiner_check builds one
+flat rule over the same rows, one signed fan triangle (in 2-d one arc)
+per row about the facet's normal (quadrature.spherical_polygon_rule),
+with rho and the facet of each node.  The total, the normalized volume
+and the Steiner fit are sums over that rule, and dual_area reads a cone
+cell's value off it by facet.  The rule has a coarse companion on the
+same panels, built only when the error estimate is read; their
 difference is that estimate.
 """
 
@@ -53,8 +54,8 @@ class DiscreteSphericalMeasure:
         dirs, close, self.antipode = unit_rows(dirs, "atom directions")
         if len(dirs) != len(weights):
             raise GeometryError("atom directions and weights disagree in length")
-        if (weights < 0).any():
-            raise GeometryError("weights must be nonnegative")
+        if not (np.isfinite(weights) & (weights >= 0)).all():
+            raise GeometryError("weights must be finite and nonnegative")
         if close:
             raise GeometryError("atom directions must be pairwise distinct")
         j = self.antipode
@@ -363,48 +364,6 @@ def lp_surface_area_measure(P, p):
 # -- sphere-side integrals -------------------------------------------------
 
 
-# rows of the fan rule per call of spherical_polygon_rule, so the (node, 3)
-# temporaries stay small
-FAN_BLOCK = 64
-
-
-def _cell_rho(rule, offsets, poles):
-    """rho at the nodes of a cone cell rule: offset / (u . normal)."""
-    # np.take gathers rows several times faster than fancy indexing
-    return offsets[rule.edge] / np.einsum("ij,ij->i", rule.nodes, np.take(poles, rule.edge, axis=0))
-
-
-def _cell_piece(rule, offsets, poles):
-    """A fan rule as a piece (weights, rho, coarse): coarse() gives the
-    weights and rho of its companion rule, built only when called."""
-    # hold the companion's builder, not the rule, so a piece kept for a
-    # later error estimate does not keep the rule's nodes alive
-    companion = rule.companion
-
-    def coarse():
-        c = companion()
-        return c.weights, _cell_rho(c, offsets, poles)
-
-    return rule.weights, _cell_rho(rule, offsets, poles), coarse
-
-
-def _cone_nodes(P):
-    """Sphere-side pieces (weights, rho, coarse), coarse() giving the
-    weights and rho of the companion rule.
-
-    The independent sphere-side path: one signed fan triangle (in 2-d one
-    arc) per row of fan_rows about the facet's normal, where
-    rho = h_i / (u . v_i) (spherical_polygon_rule), FAN_BLOCK rows per
-    piece.
-    """
-    h, v = P.offsets, P.normals
-    fid, starts, ends = fan_rows(P)
-    for lo in range(0, len(fid), FAN_BLOCK):
-        b = slice(lo, lo + FAN_BLOCK)
-        poles = v[fid[b]]
-        yield _cell_piece(spherical_polygon_rule(poles, starts[b], ends[b]), h[fid[b]], poles)
-
-
 def _rho_batch(body, dirs):
     if isinstance(body, Ball):
         return np.full(len(dirs), body.radius)
@@ -413,13 +372,17 @@ def _rho_batch(body, dirs):
     raise GeometryError("no closed-form radial function")
 
 
-def _sphere_cells(K):
-    """The sphere-side rule of K as pieces (weights, rho, coarse), with K's
-    dimension; coarse() gives the weights and rho of the companion rule.
+def _sphere_side(K):
+    """The sphere-side rule of K as flat arrays (weights, rho, facet,
+    coarse, n): node weights, rho at the nodes, the facet whose cone cell
+    holds each node (None for a smooth body), a builder of the companion
+    rule's weights and rho, and K's dimension.
 
     Smooth bodies take one global sphere rule, with the next level down as
-    its coarse companion; polytopes the cone cells of _cone_nodes,
-    independent of the facet-path atoms.
+    its companion.  Polytopes take one spherical_polygon_rule over all rows
+    of fan_rows, independent of the facet-path atoms: one signed fan
+    triangle (in 2-d one arc) per row about the facet's normal v_i, where
+    rho = h_i / (u . v_i).
     """
     if isinstance(K, SmoothBody):
         level = SMOOTH_LEVELS[K.dim]
@@ -428,9 +391,25 @@ def _sphere_cells(K):
             rule = sphere_rule(K.dim, level)
             return rule.weights, _rho_batch(K, rule.nodes)
 
-        return [(*at(level), lambda: at(level - 1))], K.dim
+        return (*at(level), None, lambda: at(level - 1), K.dim)
     P = _require_hpolytope(K)
-    return _cone_nodes(P), P.dim
+    fid, starts, ends = fan_rows(P)
+    poles, offsets = P.normals[fid], P.offsets[fid]
+
+    def rho(rule):
+        # np.take gathers rows several times faster than fancy indexing
+        return offsets[rule.edge] / np.einsum("ij,ij->i", rule.nodes, np.take(poles, rule.edge, axis=0))
+
+    rule = spherical_polygon_rule(poles, starts, ends)
+    # hold the companion's builder, not the rule, so a result kept for a
+    # later error estimate does not keep the rule's nodes alive
+    companion = rule.companion
+
+    def coarse():
+        c = companion()
+        return c.weights, rho(c)
+
+    return rule.weights, rho(rule), fid[rule.edge], coarse, P.dim
 
 
 class DualQuermassResult:
@@ -469,36 +448,25 @@ def dual_quermassintegral(K, q):
     exponential of the mean of log rho.  The sums are einsum loops, which
     stay on the calling thread where BLAS dots would wake its threads.
     """
-    cells, n = _sphere_cells(K)
-    # value, sum of |terms|, total weight, integral of log rho at q=0, else
-    # of expm1(q log rho - c) with c the largest q log rho so far
-    sums = np.zeros(4)
-    c = -math.inf
-    companions = []
-    for w, rho, coarse in cells:
-        f = rho**q
-        g = np.log(rho)
-        if q != 0:
-            g *= q
-            top = float(g.max(initial=-math.inf))
-            if top > c:
-                # the integral so far, re-centred on the new largest term
-                sums[3] += math.expm1(c - top) * (sums[3] + sums[2])
-                c = top
-            g = np.expm1(g - c)
-        sums += (np.einsum("i,i->", w, f), np.einsum("i,i->", np.abs(w), f), w.sum(),
-                 np.einsum("i,i->", w, g))
-        companions.append(coarse)
-    value, size = sums[:2] / n
-    mean = float(sums[3] / sums[2])
-    normalized = math.exp(mean if q == 0 else (c + math.log1p(mean)) / q)
+    w, rho, _, coarse, n = _sphere_side(K)
+    f = rho**q
+    value = float(np.einsum("i,i->", w, f)) / n
+    size = float(np.einsum("i,i->", np.abs(w), f)) / n
+    g = np.log(rho)
+    if q == 0:
+        normalized = math.exp(float(np.einsum("i,i->", w, g) / w.sum()))
+    else:
+        g *= q
+        c = float(g.max(initial=-math.inf))
+        mean = float(np.einsum("i,i->", w, np.expm1(g - c)) / w.sum())
+        normalized = math.exp((c + math.log1p(mean)) / q)
     # rho**q carries about |q| times rho's few ulps, and the sum of the
     # signed terms loses up to about log2(terms) more
     rounding = (abs(q) + 32.0) * np.finfo(float).eps * size
 
     def error():
-        coarse = sum(float(np.einsum("i,i->", w, rho**q)) for w, rho in (b() for b in companions))
-        return abs(value - coarse / n) + rounding
+        cw, crho = coarse()
+        return abs(value - float(np.einsum("i,i->", cw, crho**q)) / n) + rounding
 
     return DualQuermassResult(q, value, normalized, error)
 
@@ -507,23 +475,16 @@ def dual_area(K, q, region=None):
     """(1/n) integral of rho^q over a spherical region.
 
     region=None is the whole sphere; otherwise a ConeCell or list of them
-    (from this body's cone partition), integrated over each cell's own
-    boundary rows.  Over the cell of facet i this is the dual curvature
-    atom of facet i.
+    from this polytope's cone partition, each read off the one sphere-side
+    rule by the facet its nodes lie in.  Over the cell of facet i this is
+    the dual curvature atom of facet i.
     """
     if region is None:
         return dual_quermassintegral(K, q).value
-    if isinstance(region, ConeCell):
-        region = [region]
-    total = 0.0
-    for cell in region:
-        if cell.empty:
-            continue
-        v = cell.normal
-        rule = spherical_polygon_rule(np.broadcast_to(v, cell.starts.shape), cell.starts, cell.ends)
-        rho = cell.offset / (rule.nodes @ v)
-        total += float(rule.weights @ rho**q) / K.dim
-    return total
+    facets = [c.facet_index for c in ([region] if isinstance(region, ConeCell) else region)]
+    w, rho, facet, _, n = _sphere_side(_require_hpolytope(K))
+    cells = np.bincount(facet, w * rho**q, minlength=max(facets, default=-1) + 1)
+    return float(cells[facets].sum()) / n
 
 
 def dual_steiner_check(K, t_samples):
@@ -535,11 +496,10 @@ def dual_steiner_check(K, t_samples):
     counterpart is dual_quermassintegral(K, q=i).
     """
     t_samples = np.asarray(t_samples, float)
-    cells, n = _sphere_cells(K)
-    if len(t_samples) < n + 1:
+    if len(t_samples) < K.dim + 1:
         raise GeometryError("need at least n+1 sample values of t")
-    vols = np.sum([[float(w @ (rho + t) ** n) for t in t_samples]
-                   for w, rho, _ in cells], axis=0) / n
+    w, rho, _, _, n = _sphere_side(K)
+    vols = np.array([np.einsum("i,i->", w, (rho + t) ** n) for t in t_samples]) / n
     design = np.array([[math.comb(n, i) * t ** (n - i) for i in range(n + 1)] for t in t_samples])
     coef, *_ = np.linalg.lstsq(design, vols, rcond=None)
     return coef
@@ -574,7 +534,7 @@ def intersect_hpolytopes(K, L, tol=1e-9):
     offsets = K.offsets.copy()
     np.minimum.at(offsets, j[hit], L.offsets[hit])
     return HPolytope(np.vstack([K.normals, L.normals[~hit]]),
-                     np.concatenate([offsets, L.offsets[~hit]]), validate=False)
+                     np.concatenate([offsets, L.offsets[~hit]]))
 
 
 def hull_of_union(K, L):

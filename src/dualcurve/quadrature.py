@@ -39,10 +39,9 @@ class SphereQuadrature:
     """Nodes on the unit sphere with surface-measure weights.
 
     A rule built from edges (spherical_polygon_rule) also records the edge
-    each node belongs to, and `companion` builds its coarse companion: the
+    each node belongs to, and `companion()` builds its coarse companion: the
     rule with fewer nodes on the same panels, whose difference from this one
-    estimates this rule's error.  `coarse` holds it, built on first read
-    (None for a rule without a companion).
+    estimates this rule's error (None for a rule without a companion).
     """
 
     def __init__(self, dim, nodes, weights, edge=None, companion=None):
@@ -53,10 +52,6 @@ class SphereQuadrature:
         self.weights.flags.writeable = False
         self.edge = edge
         self.companion = companion
-
-    @functools.cached_property
-    def coarse(self):
-        return None if self.companion is None else self.companion()
 
     def __len__(self):
         return len(self.weights)
@@ -96,6 +91,8 @@ def sphere_rule(n, level):
 FAN_NODES = 12
 FAN_COARSE_NODES = 8
 FAN_PANEL_WIDTH = 2.0
+# rows per block of _fan_nodes, which bounds its (row, node, 3) temporaries
+FAN_BLOCK = 64
 
 
 def _panel_counts(length):
@@ -126,8 +123,8 @@ def spherical_polygon_rule(poles, starts, ends):
     great circle span no area and get no nodes.
 
     Returns a SphereQuadrature with FAN_NODES nodes per panel whose `edge`
-    holds each node's row; its `coarse` is the FAN_COARSE_NODES rule on the
-    same panels, built when first read.
+    holds each node's row; its `companion()` builds the FAN_COARSE_NODES
+    rule on the same panels.
     """
     poles, starts, ends = (np.atleast_2d(np.asarray(a, float)) for a in (poles, starts, ends))
     if poles.shape[1:] not in ((2,), (3,)) or starts.shape != poles.shape or ends.shape != poles.shape:
@@ -222,24 +219,27 @@ def _fan_nodes(k, rows, basis, dist, sa, sb, ns, nw):
     """Nodes, weights and row ids of the fan rule with k Gauss nodes per
     panel: ns panels on [sa, sb] in sigma, and on each sigma node nw panels
     on [0, asinh(dist cosh(sigma))] in w.  basis holds each row's pole, t0
-    and t1; the rows that share their panel counts are one dense block."""
+    and t1; the rows that share their panel counts are dense blocks of up
+    to FAN_BLOCK rows."""
     nodes, weights, edge = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0, int)]
     # one key per (ns, nw) pair
     counts = ns * (nw.max(initial=0) + 1) + nw
     for c in np.unique(counts):
-        g = np.flatnonzero(counts == c)
-        sigma, w_sigma = panel_rule(sa[g], sb[g], k, ns[g[0]])
-        cs = np.cosh(sigma)
-        reach = np.arcsinh(dist[g, None] * cs).ravel()
-        w, w_w = panel_rule(np.zeros(len(reach)), reach, k, nw[g[0]])
-        w, w_w = w.reshape(sigma.shape + (-1,)), w_w.reshape(sigma.shape + (-1,))
-        # u = sech(w) pole + tanh(w) (t0 / cosh(sigma) + t1 tanh(sigma))
-        coef = np.empty(w.shape + (3,))
-        sech = np.reciprocal(np.cosh(w), out=coef[..., 0])
-        tw = np.tanh(w)
-        np.multiply(tw, 1.0 / cs[:, :, None], out=coef[..., 1])
-        np.multiply(tw, np.tanh(sigma)[:, :, None], out=coef[..., 2])
-        nodes.append(np.matmul(coef.reshape(len(g), -1, 3), basis[g]).reshape(-1, 3))
-        weights.append(((w_sigma / cs)[:, :, None] * w_w * tw * sech).ravel())
-        edge.append(np.repeat(rows[g], w[0].size))
+        group = np.flatnonzero(counts == c)
+        for lo in range(0, len(group), FAN_BLOCK):
+            g = group[lo:lo + FAN_BLOCK]
+            sigma, w_sigma = panel_rule(sa[g], sb[g], k, ns[g[0]])
+            cs = np.cosh(sigma)
+            reach = np.arcsinh(dist[g, None] * cs).ravel()
+            w, w_w = panel_rule(np.zeros(len(reach)), reach, k, nw[g[0]])
+            w, w_w = w.reshape(sigma.shape + (-1,)), w_w.reshape(sigma.shape + (-1,))
+            # u = sech(w) pole + tanh(w) (t0 / cosh(sigma) + t1 tanh(sigma))
+            coef = np.empty(w.shape + (3,))
+            sech = np.reciprocal(np.cosh(w), out=coef[..., 0])
+            tw = np.tanh(w)
+            np.multiply(tw, 1.0 / cs[:, :, None], out=coef[..., 1])
+            np.multiply(tw, np.tanh(sigma)[:, :, None], out=coef[..., 2])
+            nodes.append(np.matmul(coef.reshape(len(g), -1, 3), basis[g]).reshape(-1, 3))
+            weights.append(((w_sigma / cs)[:, :, None] * w_w * tw * sech).ravel())
+            edge.append(np.repeat(rows[g], w[0].size))
     return np.concatenate(nodes), np.concatenate(weights), np.concatenate(edge)

@@ -242,6 +242,9 @@ def test_steiner_command(runner, tmp_path):
     data = json.loads(res.output)
     assert len(data["fitted"]) == 4
     assert data["max_rel_err"] <= 1e-4
+    # the verify suite checks the same fit
+    suite = runner.invoke(main, ["verify", _cube_body(tmp_path), "--suite", "steiner"])
+    assert data["max_rel_err"] == max(c["value"] for c in json.loads(suite.output)["checks"])
     res = runner.invoke(main, ["steiner", _cube_body(tmp_path),
                                "--t-samples", "0.2,0.4,0.6,0.8,1.0"])
     assert res.exit_code == 0
@@ -302,6 +305,9 @@ MALFORMED_MEASURES = {
                                           for d in [[math.nan, 0.0]] + _SQUARE[1:]]},
     "ragged directions": {"dim": 2, "atoms": [{"dir": [1.0, 0.0], "weight": 1.0},
                                               {"dir": [0.0, 1.0, 0.0], "weight": 1.0}]},
+    **{f"{bad} weight": {"dim": 2, "atoms": [{"dir": d, "weight": w}
+                                             for d, w in zip(_SQUARE, [bad, 1.0, bad, 1.0])]}
+       for bad in (math.nan, math.inf)},
 }
 
 
@@ -314,6 +320,8 @@ def test_malformed_files_exit_2(runner, tmp_path, command, payload):
     res = runner.invoke(main, [command, _write(tmp_path, "bad.json", payload), "--q", "1"])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: ")
+    if not all(math.isfinite(a["weight"]) for a in payload.get("atoms", [])):
+        assert "weights must be finite" in res.stderr
 
 
 def test_valuation_suite_evaluates_each_measure_once(monkeypatch):

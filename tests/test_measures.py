@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -87,7 +88,7 @@ def test_atoms_of_a_body_with_no_facet_rows_are_zero(dim):
     # a box 1e-10 across: all its vertices merge into one, so no facet
     # keeps the vertices that span it
     v = np.vstack([np.eye(dim), -np.eye(dim)])
-    p = HPolytope(v, np.full(2 * dim, 1e-10), validate=False)
+    p = HPolytope(v, np.full(2 * dim, 1e-10))
     got = _atoms(p, 2.0)
     assert got.dtype == float
     np.testing.assert_array_equal(got, np.zeros(2 * dim))
@@ -340,13 +341,56 @@ def test_smooth_density_integrates_to_quermassintegral():
 
 
 def test_dual_area_cell_equals_atom():
-    p = cube()
-    mu = dual_curvature(p, 2.0)
+    # the sphere-side rule read by facet against the facet-path atoms, at
+    # every cell of a thin, an off-centre and a many-facet body
+    for dim in (2, 3):
+        r = np.random.default_rng(dim)
+        thin = _thin_rectangle(r) if dim == 2 else _thin_box(r)
+        for body, q in itertools.product((thin, _off_centre(r, dim), _many_facets(r, dim)),
+                                         (-6.0, 0.5, 2.0, 12.0)):
+            mu = dual_curvature(body, q)
+            cells = cone_partition(body)
+            for cell in cells:
+                got = dual_area(body, q, region=cell)
+                assert abs(got - mu.weights[cell.facet_index]) <= 1e-9 * mu.total
+            assert dual_area(body, q, region=cells) == pytest.approx(mu.total, rel=1e-9)
+            assert dual_area(body, q) == pytest.approx(mu.total, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_sphere_rule_per_call(monkeypatch, dim):
+    # each sphere-side quantity builds its rule once, and the first error
+    # read builds the companion once
+    from dualcurve import measures, quadrature
+
+    rules, built = [], []
+    make_rule = measures.spherical_polygon_rule
+    monkeypatch.setattr(measures, "spherical_polygon_rule",
+                        lambda *rows: rules.append(1) or make_rule(*rows))
+    for name in ("_arc_nodes", "_fan_nodes"):
+        nodes = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda k, *rest, nodes=nodes: built.append(k) or nodes(k, *rest))
+    # more than 64 fan rows, so a rule built in blocks of rows would show
+    # as several calls
+    if dim == 2:
+        angles = np.linspace(0.0, 2 * PI, 80, endpoint=False)
+        p = HPolytope(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(80))
+    else:
+        p = random_symmetric_polytope(np.random.default_rng(3), pairs=12, require_all_active=False)
+    assert len(fan_rows(p)[0]) > 64
     cells = cone_partition(p)
-    got = dual_area(p, 2.0, region=cells[0])
-    assert got == pytest.approx(mu.weights[0], rel=1e-6)
-    full = dual_area(p, 2.0)
-    assert full == pytest.approx(mu.total, rel=1e-6)
+    for call in (lambda: dual_quermassintegral(p, 1.5), lambda: dual_area(p, 1.5),
+                 lambda: dual_area(p, 1.5, cells[0]), lambda: dual_area(p, 1.5, cells),
+                 lambda: dual_steiner_check(p, np.linspace(0.1, 1.0, 8))):
+        rules.clear()
+        built.clear()
+        call()
+        assert (len(rules), built) == (1, [quadrature.FAN_NODES])
+    built.clear()
+    result = dual_quermassintegral(p, 1.5)
+    first, again = result.error, result.error
+    assert first == again and built == [quadrature.FAN_NODES, quadrature.FAN_COARSE_NODES]
 
 
 def test_dual_area_2d_cell():
@@ -465,11 +509,17 @@ def test_measure_even_detection():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_refused(bad):
+    dirs = np.vstack([np.eye(3), -np.eye(3)])
+    with pytest.raises(GeometryError, match="finite and nonnegative"):
+        DiscreteSphericalMeasure(dirs, np.array([bad, 1, 1, bad, 1, 1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("build", [
     lambda dirs: HPolytope(dirs, np.ones(len(dirs))),
-    lambda dirs: HPolytope(dirs, np.ones(len(dirs)), validate=False),
     lambda dirs: DiscreteSphericalMeasure(dirs, np.ones(len(dirs))),
-], ids=["hpolytope", "lazy hpolytope", "measure"])
+], ids=["hpolytope", "measure"])
 def test_non_finite_directions_refused(build, bad):
     dirs = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
     dirs[2, 1] = bad
@@ -548,7 +598,7 @@ def _intersect_pairwise(K, L, tol):
 def _valuation_pairwise(K, L, q, tol):
     """The loop reference for valuation_check's value, over a merged
     direction list."""
-    inter = HPolytope(*_intersect_pairwise(K, L, tol), validate=False)
+    inter = HPolytope(*_intersect_pairwise(K, L, tol))
     mk, ml = dual_curvature(K, q), dual_curvature(L, q)
     mi, mh = dual_curvature(inter, q), dual_curvature(hull_of_union(K, L), q)
     dirs = [d for d in mk.dirs]
@@ -691,11 +741,11 @@ def _thin_box(r):
     return axis_box(lo, lo + width)
 
 
-def _off_centre(r):
+def _off_centre(r, dim=3):
     """10 to 200 random halfspaces, some inactive, origin off the centre."""
     m = int(r.integers(10, 201))
     while True:
-        v = r.normal(size=(m, 3))
+        v = r.normal(size=(m, dim))
         v /= np.linalg.norm(v, axis=1)[:, None]
         try:
             return HPolytope(v, r.uniform(0.2, 2.0, size=m))
@@ -703,9 +753,9 @@ def _off_centre(r):
             continue
 
 
-def _many_facets(r):
+def _many_facets(r, dim=3):
     """4 to 100 random antipodal pairs of halfspaces, some inactive."""
-    v = r.normal(size=(int(r.integers(4, 101)), 3))
+    v = r.normal(size=(int(r.integers(4, 101)), dim))
     v /= np.linalg.norm(v, axis=1)[:, None]
     h = r.uniform(0.7, 1.5, size=len(v))
     return HPolytope(np.vstack([v, -v]), np.concatenate([h, h]))

@@ -83,7 +83,7 @@ def test_polygon_rule_arcs_signed_and_refused_outside_the_half_circle():
     assert (rule.weights < 0).all()
     assert rule.weights.sum() == pytest.approx(-1.8, rel=1e-13)
     np.testing.assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-15)
-    assert rule.coarse.weights.sum() == pytest.approx(-1.8, rel=1e-13)
+    assert rule.companion().weights.sum() == pytest.approx(-1.8, rel=1e-13)
     with pytest.raises(GeometryError, match="open hemisphere"):
         _arcs(0.0, 2.0)
 
@@ -149,7 +149,7 @@ def test_spherical_polygon_rule_pole_outside_polygon():
     outside = _fan(pole, rays)
     assert (outside.weights < 0).any()
     want = float(inside.weights @ f(inside.nodes))
-    for rule, rel in ((outside, 1e-12), (outside.coarse, 1e-9)):
+    for rule, rel in ((outside, 1e-12), (outside.companion(), 1e-9)):
         assert rule.weights.sum() == pytest.approx(exact, rel=1e-12)
         assert float(rule.weights @ f(rule.nodes)) == pytest.approx(want, rel=rel)
     np.testing.assert_allclose(np.linalg.norm(outside.nodes, axis=1), 1.0, atol=1e-14)
