@@ -2,8 +2,7 @@
 
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, VPolytope,
                         body_from_dict, convex_hull_of_radial, polar,
-                        radial_sum_ball, wulff_polar_identity_check,
-                        wulff_shape)
+                        wulff_polar_identity_check, wulff_shape)
 from .gauss_maps import (ConeCell, cone_partition, radial_gauss,
                          radial_gauss_batch, reverse_radial_gauss_smooth)
 from .measures import (DiscreteSphericalMeasure, cone_volume_measure,
@@ -19,7 +18,7 @@ from .solver import (FeasibilityResult, SolverConfig, SolverReport,
                      check_subspace_mass, phi_mu, phi_gradient,
                      solve_dual_minkowski)
 from .variational import (LogFamily, check_aleksandrov, check_dual_variation,
-                          check_q0_variation, log_wulff)
+                          check_q0_variation)
 
 __version__ = "0.1.0"
 
@@ -56,7 +55,6 @@ __all__ = [
     "hull_of_union",
     "intersect_hpolytopes",
     "lp_surface_area_measure",
-    "log_wulff",
     "measure_l1",
     "measure_max_discrepancy",
     "phi_gradient",
@@ -64,7 +62,6 @@ __all__ = [
     "polar",
     "radial_gauss",
     "radial_gauss_batch",
-    "radial_sum_ball",
     "reverse_radial_gauss_smooth",
     "solve_dual_minkowski",
     "sphere_area",

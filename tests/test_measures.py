@@ -25,7 +25,8 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
 from dualcurve.gauss_maps import cone_partition, fan_rows
 from dualcurve.measures import _atom_jacobian, _atoms
 
-from conftest import axis_box, cube, lhuilier_solid_angles, random_symmetric_polytope
+from conftest import (axis_box, count_sphere_rules, cube, lhuilier_solid_angles,
+                      random_symmetric_polytope)
 
 PI = math.pi
 # facet integrals of |x|^(q-3) over a unit-cube face, divided by 3
@@ -359,18 +360,12 @@ def test_dual_area_cell_equals_atom():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_one_sphere_rule_per_call(monkeypatch, dim):
-    # each sphere-side quantity builds its rule once, and the first error
-    # read builds the companion once
-    from dualcurve import measures, quadrature
+    # every sphere-side quantity at every q reads the body's one rule, and
+    # the first error read builds its one companion, which later reads at
+    # any q share
+    from dualcurve import quadrature
 
-    rules, built = [], []
-    make_rule = measures.spherical_polygon_rule
-    monkeypatch.setattr(measures, "spherical_polygon_rule",
-                        lambda *rows: rules.append(1) or make_rule(*rows))
-    for name in ("_arc_nodes", "_fan_nodes"):
-        nodes = getattr(quadrature, name)
-        monkeypatch.setattr(quadrature, name,
-                            lambda k, *rest, nodes=nodes: built.append(k) or nodes(k, *rest))
+    rules, built = count_sphere_rules(monkeypatch)
     # more than 64 fan rows, so a rule built in blocks of rows would show
     # as several calls
     if dim == 2:
@@ -380,17 +375,65 @@ def test_one_sphere_rule_per_call(monkeypatch, dim):
         p = random_symmetric_polytope(np.random.default_rng(3), pairs=12, require_all_active=False)
     assert len(fan_rows(p)[0]) > 64
     cells = cone_partition(p)
-    for call in (lambda: dual_quermassintegral(p, 1.5), lambda: dual_area(p, 1.5),
-                 lambda: dual_area(p, 1.5, cells[0]), lambda: dual_area(p, 1.5, cells),
-                 lambda: dual_steiner_check(p, np.linspace(0.1, 1.0, 8))):
-        rules.clear()
-        built.clear()
-        call()
-        assert (len(rules), built) == (1, [quadrature.FAN_NODES])
-    built.clear()
-    result = dual_quermassintegral(p, 1.5)
-    first, again = result.error, result.error
-    assert first == again and built == [quadrature.FAN_NODES, quadrature.FAN_COARSE_NODES]
+    results = {}
+    for q in (0.0, 0.5, 2.0, float(dim)):
+        results[q] = dual_quermassintegral(p, q)
+        dual_area(p, q)
+        dual_area(p, q, cells[0])
+        dual_area(p, q, cells)
+    dual_steiner_check(p, np.linspace(0.1, 1.0, 8))
+    assert (len(rules), built) == (1, [quadrature.FAN_NODES])
+    for _ in range(2):
+        for q in (0.5, 2.0):
+            assert results[q].error == dual_quermassintegral(p, q).error
+    assert (len(rules), built) == (1, [quadrature.FAN_NODES, quadrature.FAN_COARSE_NODES])
+
+
+def _memo_values(P):
+    """The bytes of P's q-free and per-q quantities: the index-0 measure,
+    and at three q the atoms and the dual quermassintegral's value,
+    normalized volume and error, with a dual_area cell and the Steiner
+    fit."""
+    out = [dual_curvature_q0(P).weights, dual_steiner_check(P, np.linspace(0.1, 1.0, 5))]
+    for q in (0.5, 2.0, float(P.dim)):
+        r = dual_quermassintegral(P, q)
+        out += [_atoms(P, q), np.array([r.value, r.normalized, r.error, dual_area(P, q, cone_partition(P)[0])])]
+    return [a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_new_offsets_start_an_empty_memo(dim):
+    # bodies made from a body whose memo is full compute their own values,
+    # bitwise those of a fresh body, and leave the original's alone
+    from dualcurve.variational import LogFamily, _stencil
+
+    r = np.random.default_rng(dim + 20)
+    K = _off_centre(r, dim)
+    before = _memo_values(K)
+    h2 = K.offsets * np.exp(0.05 * r.uniform(-1.0, 1.0, len(K.offsets)))
+    _, plus, minus = _stencil(K, LogFamily(K, r.uniform(-1.0, 1.0, len(K.offsets))).offsets_at, 1e-2)
+    for body in (K.with_offsets(h2), K.scale(2.0), plus, minus):
+        assert _memo_values(body) == _memo_values(HPolytope(K.normals, body.offsets))
+        assert _memo_values(body) != before
+    assert _memo_values(K) == before
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_hits_equal_first_evaluation(dim):
+    K = _off_centre(np.random.default_rng(dim + 30), dim)
+    first = _memo_values(K)
+    assert _memo_values(K) == first
+    # an integer q and its float share one entry
+    assert _atoms(K, 2) is _atoms(K, 2.0)
+    qs = {0.5, 2.0, float(dim)}
+    assert set(K._memo) - {"areas"} == {"polar", "q0", "sphere", "companion"} | {("atoms", q) for q in qs}
+    # every memo array is read-only and 1-d: the rules keep no nodes
+    arrays = [a for value in K._memo.values()
+              for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 + 3 + 2 + len(qs) + ("areas" in K._memo)
+    assert all(a.ndim == 1 and not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        _atoms(K, 2.0)[0] = 0.0
 
 
 def test_dual_area_2d_cell():

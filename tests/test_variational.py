@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualcurve import (GeometryError, LogFamily, check_aleksandrov,
-                       check_dual_variation, check_q0_variation, log_wulff)
+                       check_dual_variation, check_q0_variation)
 
 from conftest import cube, random_symmetric_polytope
 
@@ -27,7 +27,7 @@ def test_log_family_basics():
     fam = LogFamily(p, f)
     np.testing.assert_allclose(fam.offsets_at(0.0), p.offsets)
     np.testing.assert_allclose(fam.offsets_at(0.25), p.offsets * np.exp(0.25 * f))
-    k = log_wulff(p, f, 0.1)
+    k = fam.body_at(0.1)
     np.testing.assert_allclose(k.offsets, p.offsets * np.exp(0.1 * f))
     with pytest.raises(GeometryError):
         LogFamily(p, np.ones(5))
