@@ -4,7 +4,7 @@ from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, VPolytope,
                         body_from_dict, convex_hull_of_radial, polar,
                         wulff_polar_identity_check, wulff_shape)
 from .gauss_maps import (ConeCell, cone_partition, radial_gauss,
-                         radial_gauss_batch, reverse_radial_gauss_smooth)
+                         reverse_radial_gauss_smooth)
 from .measures import (DiscreteSphericalMeasure, cone_volume_measure,
                        dual_area, dual_curvature, dual_curvature_density_smooth,
                        dual_curvature_q0, dual_quermassintegral,
@@ -61,7 +61,6 @@ __all__ = [
     "phi_mu",
     "polar",
     "radial_gauss",
-    "radial_gauss_batch",
     "reverse_radial_gauss_smooth",
     "solve_dual_minkowski",
     "sphere_area",

@@ -55,7 +55,11 @@ def direction_pairs(dirs, tol=1e-9):
 
 def match_directions(a, b, tol=1e-9):
     """For each row of a, the index of the nearest row of b within tol
-    (distance <= tol), or -1: one k-d tree query over b."""
+    (distance <= tol), or -1: one k-d tree query over b.  Directions of
+    different dimensions raise GeometryError."""
+    if a.shape[-1] != b.shape[-1]:
+        raise GeometryError(f"cannot match {a.shape[-1]}-d directions "
+                            f"with {b.shape[-1]}-d ones")
     # the query's upper bound is strict; the next float above tol keeps <=
     _, j = cKDTree(b).query(a, distance_upper_bound=np.nextafter(tol, np.inf))
     j[j == len(b)] = -1
@@ -65,20 +69,14 @@ def match_directions(a, b, tol=1e-9):
 def unit_rows(v, what):
     """Validate a matrix of unit row vectors and pair them once.
 
-    A row whose norm is not within 1e-9 of 1 (a non-finite row included)
-    raises GeometryError; rows visibly off are renormalized.  Returns the
-    read-only rows with direction_pairs of them: whether two rows lie
-    within 1e-9 of each other, and the antipode index (or None).
+    The rows pass as_direction; returns them read-only with direction_pairs
+    of them: whether two rows lie within 1e-9 of each other, and the
+    antipode index (or None).
     """
-    rows = np.atleast_2d(np.asarray(v, float)).copy()
+    rows = np.atleast_2d(np.asarray(v, float))
     if rows.ndim != 2:
         raise GeometryError(f"{what} must be a matrix of row vectors")
-    norms = np.linalg.norm(rows, axis=1)
-    if not (np.abs(norms - 1.0) <= 1e-9).all():
-        raise GeometryError(f"{what} must be finite unit vectors")
-    fix = np.abs(norms - 1.0) > 1e-12
-    if fix.any():
-        rows[fix] /= norms[fix, None]
+    rows = as_direction(rows, what)
     rows.flags.writeable = False
     return (rows, *direction_pairs(rows))
 
@@ -91,16 +89,19 @@ def unit(v):
     return v / n
 
 
-def as_direction(v, tol=1e-9):
-    """Validate a unit vector; renormalize only if it is visibly off.  A
-    non-finite vector is refused."""
+def as_direction(v, what="directions"):
+    """Validate unit vectors along the last axis: one vector or a (k, n)
+    batch.  A vector whose norm is not within 1e-9 of 1, a non-finite one
+    included, raises GeometryError; vectors visibly off (by more than
+    1e-12) are renormalized.  Always returns a new array."""
     v = np.asarray(v, float)
-    n = np.linalg.norm(v)
-    if not abs(n - 1.0) <= tol:
-        raise GeometryError(f"direction has norm {n!r}, expected 1")
-    if abs(n - 1.0) > 1e-12:
-        v = v / n
-    return v
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    off = np.abs(norms - 1.0)
+    ok = off <= 1e-9
+    if not ok.all():
+        bad = float(norms[~ok][0])
+        raise GeometryError(f"{what} must be finite unit vectors: norm {bad!r}, expected 1")
+    return np.where(off > 1e-12, v / norms, v)
 
 
 def _qhull(points, refusal):
@@ -213,7 +214,16 @@ class _PolarHull:
         return fac[ok], other[ok], np.tile(lab[s], 2)[ok], np.tile(lab[t], 2)[ok]
 
 
-class HPolytope:
+class _Polytope:
+    """What both polytope representations read off their vertex list."""
+
+    def support(self, v):
+        """Support function h(v) = max over the vertices x of x . v, at one
+        unit direction (a float) or along the rows of a (k, n) batch."""
+        return (as_direction(v) @ self.vertices.T).max(axis=-1)
+
+
+class HPolytope(_Polytope):
     """Intersection of halfspaces {x : x.v_i <= h_i} with unit normals v_i.
 
     Immutable after construction.  Vertices, facet incidence, edges, areas
@@ -316,17 +326,19 @@ class HPolytope:
 
     # -- evaluation ------------------------------------------------------
 
-    def support(self, v):
-        v = as_direction(v)
-        return float(np.max(self.vertices @ v))
-
     def radial(self, u):
-        u = as_direction(u)
-        dots = self.normals @ u
-        pos = dots > 0
-        if not pos.any():
-            raise GeometryError("unbounded body")
-        return float(np.min(self.offsets[pos] / dots[pos]))
+        """Radial function rho(u) = min of h_i / (u . v_i) over the facets
+        with u . v_i > 0, at one unit direction (a float) or along the rows
+        of a (k, n) batch."""
+        return self._exits(u).min(axis=-1)
+
+    def _exits(self, u):
+        """The distance h_i / (u . v_i) at which the ray along u leaves
+        halfspace i, inf where u . v_i <= 0, along the last axis of u: the
+        one kernel of radial and of gauss_maps.radial_gauss."""
+        dots = as_direction(u) @ self.normals.T
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(dots > 0.0, self.offsets / dots, np.inf)
 
     def scale(self, lam):
         if lam <= 0:
@@ -363,7 +375,7 @@ class HPolytope:
         return f"HPolytope(dim={self.dim}, facets={len(self.normals)}, symmetric={self.symmetric})"
 
 
-class VPolytope:
+class VPolytope(_Polytope):
     """Convex hull of a finite point set containing the origin inside.
 
     The stored vertex list is irredundant: the Qhull hull of the points
@@ -388,10 +400,6 @@ class VPolytope:
         self.vertices = vertices
         self.vertices.flags.writeable = False
         self._hrep = None
-
-    def support(self, v):
-        v = as_direction(v)
-        return float(np.max(self.vertices @ v))
 
     def radial(self, u):
         return self.to_hpolytope().radial(u)
@@ -447,12 +455,12 @@ class Ball(SmoothBody):
         self.dim = int(dim)
 
     def support(self, v):
-        as_direction(v)
-        return self.radius
+        """The radius at one unit direction (a float) or along the rows of a
+        (k, n) batch."""
+        return np.full(as_direction(v).shape[:-1], self.radius)[()]
 
-    def radial(self, u):
-        as_direction(u)
-        return self.radius
+    # a ball about the origin has rho = h
+    radial = support
 
     def grad_support(self, v):
         return self.radius * as_direction(v)
@@ -482,21 +490,21 @@ class Ellipsoid(SmoothBody):
         self.dim = len(axes)
 
     def support(self, v):
-        v = as_direction(v)
-        return float(np.sqrt(np.sum((self.axes * v) ** 2)))
+        """|A v| with A = diag(axes), at one unit direction (a float) or
+        along the rows of a (k, n) batch."""
+        return np.sqrt(np.sum((self.axes * as_direction(v)) ** 2, axis=-1))
 
     def radial(self, u):
-        u = as_direction(u)
-        return float(1.0 / np.sqrt(np.sum((u / self.axes) ** 2)))
+        """1 / |A^-1 u|, at one unit direction (a float) or along the rows
+        of a (k, n) batch."""
+        return 1.0 / np.sqrt(np.sum((as_direction(u) / self.axes) ** 2, axis=-1))
 
     def grad_support(self, v):
         v = as_direction(v)
-        return self.axes**2 * v / self.support(v)
+        return self.axes**2 * v / self.support(v)[..., None]
 
     def curvature_det(self, v):
-        v = as_direction(v)
-        h = self.support(v)
-        return float(np.prod(self.axes) ** 2 / h ** (self.dim + 1))
+        return np.prod(self.axes) ** 2 / self.support(v) ** (self.dim + 1)
 
     def __repr__(self):
         return f"Ellipsoid(axes={list(self.axes)})"

@@ -15,7 +15,7 @@ closed-form pass.
 
 import numpy as np
 
-from .body_core import GeometryError, SmoothBody, as_direction, unit
+from .body_core import GeometryError, SmoothBody, unit
 
 TIE_TOL = 1e-10
 
@@ -41,74 +41,30 @@ class ConeCell:
     def empty(self):
         return len(self.starts) == 0
 
-    @property
-    def apex_rays(self):
-        """Unit rays to the facet's vertices: the edges' starts in 3-d (one
-        per vertex, in no particular order), the arc's two ends in 2-d."""
-        if len(self.normal) == 2:
-            return np.concatenate([self.starts, self.ends])
-        return self.starts
-
     def solid_angle(self):
         """Spherical measure of the cell, closed-form (see cone_partition)."""
         return self._solid_angle
 
-    def contains(self, u, tol=1e-9):
-        """Does the boundary point in direction u lie on this facet?
 
-        u must lie in the open half-space about the normal and on the inner
-        side of every boundary edge's great circle, within tol.
-        """
-        u = as_direction(u)
-        if self.empty or float(u @ self.normal) <= 0:
-            return False
-        if len(u) == 2:
-            a, b = self.starts[0], self.ends[0]
-            side = np.array([a[0] * u[1] - a[1] * u[0], u[0] * b[1] - u[1] * b[0]])
-        else:
-            # det[start, end, u] is positive inside, as the edges run
-            # counterclockwise about the normal
-            c = np.cross(self.starts, self.ends)
-            side = (c @ u) / np.linalg.norm(c, axis=1)
-        return bool((side >= -tol).all())
+def radial_gauss(P, dirs, tie_tol=TIE_TOL):
+    """The radial Gauss map of the H-polytope P along the rows of a (k, n)
+    batch of unit directions.
 
-
-def radial_batch(normals, offsets, dirs, tie_tol=TIE_TOL):
-    """Radial function of {x : x.v_i <= h_i} on a batch of unit directions.
-
-    Returns (rho, idx, tie): the min of h_i/(u.v_i) over i with u.v_i > 0,
-    the argmin facet, and whether a second facet ties within relative
-    tie_tol (the direction then lies on a cone boundary).
+    Returns (rho, facet, tie): the radial function min h_i / (u . v_i) over
+    the facets with u . v_i > 0 (P.radial's kernel), the argmin facet, whose
+    normal is the outer normal at the boundary point rho(u) u, and whether a
+    second facet ties within relative tie_tol.  A tie means u points at a
+    lower-dimensional face (the measure-zero cone-boundary set), where the
+    map is not single-valued; no tie is broken.  Rows that are not finite
+    unit vectors raise GeometryError.
     """
-    normals = np.asarray(normals, float)
-    offsets = np.asarray(offsets, float)
-    dirs = np.atleast_2d(np.asarray(dirs, float))
-    dots = dirs @ normals.T  # (N, m)
-    with np.errstate(divide="ignore", over="ignore"):
-        cand = np.where(dots > 0.0, offsets / dots, np.inf)
-    rows = np.arange(len(dirs))
-    idx = np.argmin(cand, axis=1)
-    rho = cand[rows, idx]
-    # second-smallest candidate for the tie test
-    cand[rows, idx] = np.inf
-    second = cand.min(axis=1)
-    tie = (second - rho) <= tie_tol * rho
-    return rho, idx, tie
-
-
-def radial_gauss(P, u, tie_tol=TIE_TOL):
-    """Outer unit normal at the boundary point rho(u) u, or None on a tie.
-
-    Ties within relative tie_tol mean u points at a lower-dimensional face
-    (the measure-zero cone-boundary set); no arbitrary tie-breaking.
-    """
-    _, idx, tie = radial_batch(P.normals, P.offsets, as_direction(u)[None, :], tie_tol)
-    return None if tie[0] else P.normals[idx[0]]
-
-
-def radial_gauss_batch(P, dirs, tie_tol=TIE_TOL):
-    """Vectorized radial_gauss: returns (rho, facet index, tie flag) arrays."""
-    return radial_batch(P.normals, P.offsets, dirs, tie_tol)
+    exits = P._exits(dirs)
+    facet = exits.argmin(axis=-1)
+    rho = np.take_along_axis(exits, facet[..., None], -1)[..., 0]
+    # the second-nearest exit for the tie test
+    np.put_along_axis(exits, facet[..., None], np.inf, -1)
+    tie = exits.min(axis=-1) - rho <= tie_tol * rho
+    return rho, facet, tie
 
 
 def fan_rows(P):

@@ -36,8 +36,8 @@ import math
 
 import numpy as np
 
-from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, SmoothBody,
-                        VPolytope, as_direction, match_directions,
+from .body_core import (GeometryError, HPolytope, SmoothBody, VPolytope,
+                        as_direction, match_directions, require_dim,
                         unit_rows)
 from .gauss_maps import ConeCell, cone_partition, fan_rows
 from .quadrature import _panel_counts, panel_rule, sphere_rule, spherical_polygon_rule
@@ -56,6 +56,7 @@ class DiscreteSphericalMeasure:
     def __init__(self, dirs, weights):
         weights = np.asarray(weights, float).copy()
         dirs, close, self.antipode = unit_rows(dirs, "atom directions")
+        require_dim(dirs.shape[1])
         if len(dirs) != len(weights):
             raise GeometryError("atom directions and weights disagree in length")
         if not (np.isfinite(weights) & (weights >= 0)).all():
@@ -381,14 +382,6 @@ def lp_surface_area_measure(P, p):
 # -- sphere-side integrals -------------------------------------------------
 
 
-def _rho_batch(body, dirs):
-    if isinstance(body, Ball):
-        return np.full(len(dirs), body.radius)
-    if isinstance(body, Ellipsoid):
-        return 1.0 / np.sqrt(np.sum((dirs / body.axes) ** 2, axis=1))
-    raise GeometryError("no closed-form radial function")
-
-
 def _sphere_side(K):
     """The sphere-side rule of K as flat arrays (weights, rho, facet,
     coarse, n): node weights, rho at the nodes, the facet whose cone cell
@@ -407,7 +400,7 @@ def _sphere_side(K):
 
         def at(level):
             rule = sphere_rule(K.dim, level)
-            return rule.weights, _rho_batch(K, rule.nodes)
+            return rule.weights, K.radial(rule.nodes)
 
         return (*at(level), None, lambda: at(level - 1), K.dim)
     P = _require_hpolytope(K)
@@ -532,19 +525,16 @@ def dual_steiner_check(K, t_samples):
 def dual_curvature_density_smooth(K, q, v):
     """Pointwise density of the index-q dual curvature of a smooth body.
 
-    (1/n) h(v) |grad h(v)|^(q-n) det(h_ij + h delta_ij) from closed forms.
+    (1/n) h(v) |grad h(v)|^(q-n) det(h_ij + h delta_ij) from closed forms,
+    at one unit direction (a float) or along the rows of a (k, n) batch.
     """
     if not isinstance(K, SmoothBody):
         raise GeometryError("density is defined for smooth bodies")
     if q < 0:
         raise GeometryError("smooth density restricted to q >= 0")
-    v = np.asarray(v, float)
-    if v.ndim == 2:
-        return np.array([dual_curvature_density_smooth(K, q, row) for row in v])
     v = as_direction(v)
-    h = K.support(v)
-    g = np.linalg.norm(K.grad_support(v))
-    return h * g ** (q - K.dim) * K.curvature_det(v) / K.dim
+    g = np.linalg.norm(K.grad_support(v), axis=-1)
+    return K.support(v) * g ** (q - K.dim) * K.curvature_det(v) / K.dim
 
 
 # -- set operations and the valuation identity ------------------------------

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .body_core import GeometryError, HPolytope, SmoothBody, wulff_shape
+from .body_core import GeometryError, HPolytope, wulff_shape
 from .measures import (DiscreteSphericalMeasure, _atom_jacobian, _atoms,
                        dual_quermassintegral)
 from .quadrature import unit_ball_volume
@@ -45,20 +45,14 @@ MESSAGES = {
 }
 
 
-class SubspaceQuery:
-    """A linear subspace spanned by atom directions, with its dimension."""
-
-    def __init__(self, basis):
-        basis = np.atleast_2d(np.asarray(basis, float))
-        q, _ = np.linalg.qr(basis.T)
-        self.basis = q.T.copy()
-        self.dim = self.basis.shape[0]
-
-    def __repr__(self):
-        return f"SubspaceQuery(dim={self.dim})"
-
-
 class FeasibilityResult:
+    """What check_subspace_mass found: whether the measure passes, and the
+    subspace closest to its bound, with the share of the total mass it
+    holds (ratio) and that bound.  worst is an orthonormal basis of that
+    subspace, a (d, n) array of rows; it is None, with ratio 0 and bound 1,
+    when no subspace spanned by atom directions comes closer to its bound
+    than that."""
+
     def __init__(self, feasible, ratio=0.0, bound=1.0, worst=None):
         self.feasible = bool(feasible)
         self.ratio = float(ratio)
@@ -69,8 +63,9 @@ class FeasibilityResult:
         return self.feasible
 
     def __repr__(self):
+        dim = None if self.worst is None else len(self.worst)
         return (f"FeasibilityResult(feasible={self.feasible}, ratio={self.ratio:.6g}, "
-                f"bound={self.bound:.6g}, worst={self.worst})")
+                f"bound={self.bound:.6g}, worst_dim={dim})")
 
 
 class SolverConfig:
@@ -170,7 +165,7 @@ def check_subspace_mass(mu, q):
         s = int(np.argmin(bound - ratio))
         if bound - ratio[s] < worst.bound - worst.ratio:
             worst = FeasibilityResult(ratio[s] < bound - 1e-12, ratio[s], bound,
-                                      SubspaceQuery(bases[s]))
+                                      frames[s].T.copy())
     return worst
 
 
@@ -190,12 +185,8 @@ def phi_mu(K, mu, q):
     total = mu.total
     if total <= 0:
         raise GeometryError("measure must have positive total mass")
-    if isinstance(K, (HPolytope, SmoothBody)):
-        hs = np.array([K.support(v) for v in mu.dirs])
-    else:
-        raise GeometryError("phi is defined for polytopes and smooth bodies")
     vbar = dual_quermassintegral(K, q).normalized
-    return float(-(mu.weights @ np.log(hs)) / total + math.log(vbar))
+    return float(-(mu.weights @ np.log(K.support(mu.dirs))) / total + math.log(vbar))
 
 
 def phi_gradient(K, mu, q):
@@ -217,8 +208,7 @@ def _as_wulff_on(K, mu, tol=1e-9):
         d = np.linalg.norm(K.normals - mu.dirs, axis=1)
         if (d <= tol).all():
             return K
-    hs = np.array([K.support(v) for v in mu.dirs])
-    return wulff_shape(mu.dirs, hs)
+    return wulff_shape(mu.dirs, K.support(mu.dirs))
 
 
 def _newton_direction(body, q, atoms, grad, reps, mates):
@@ -263,8 +253,6 @@ def solve_dual_minkowski(mu, cfg):
         cfg = SolverConfig(q=float(cfg))
     q = cfg.q
     n = mu.dim
-    if n not in (2, 3):
-        raise GeometryError("solver supports n in {2, 3}")
     if q > n:
         raise GeometryError("q must lie in (0, n]")
     feas = check_subspace_mass(mu, q)

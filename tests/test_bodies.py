@@ -18,6 +18,34 @@ from conftest import axis_box, cube, random_symmetric_polytope
 SQRT2 = 1.4142135623730951
 
 
+def test_all_names_the_package_binds_once():
+    import types
+
+    import dualcurve
+    public = {name for name, value in vars(dualcurve).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(dualcurve.__all__) == len(set(dualcurve.__all__))
+    assert set(dualcurve.__all__) == public
+
+
+def test_polytope_maps_take_one_direction_or_a_batch(rng):
+    # one broadcast expression: a row of the batch gives the single value
+    p = random_symmetric_polytope(rng, pairs=6)
+    u = rng.normal(size=(9, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = VPolytope(p.vertices)
+    for f in (p.support, p.radial, v.support, v.radial):
+        batch = f(u)
+        assert batch.shape == (9,)
+        for k in range(9):
+            single = f(u[k])
+            assert isinstance(single, float)
+            assert single == pytest.approx(batch[k], rel=1e-13)
+    np.testing.assert_allclose(v.support(u), p.support(u), rtol=1e-12)
+    with pytest.raises(GeometryError, match="finite unit vectors"):
+        p.support(np.array([[1.0, 0, 0], [np.nan, 0, 0]]))
+
+
 def test_cube_basic_geometry():
     p = cube()
     assert p.dim == 3

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dualcurve import (Ellipsoid, GeometryError, cone_partition, radial_gauss,
-                       radial_gauss_batch, reverse_radial_gauss_smooth,
-                       spherical_polygon_rule)
-from dualcurve.gauss_maps import radial_batch
+from dualcurve import (Ellipsoid, GeometryError, HPolytope, cone_partition, radial_gauss,
+                       reverse_radial_gauss_smooth, spherical_polygon_rule)
+from dualcurve.gauss_maps import fan_rows
+from dualcurve.measures import _sphere_side
 
 from conftest import cube, random_symmetric_polytope
 
@@ -16,41 +16,46 @@ ELL_DIR = (0.9701425001453319, 0.24253562503633297)  # (4, 1)/sqrt(17)
 
 def test_radial_gauss_on_cube_interior_directions():
     p = cube()
-    u = np.array([0.2, -0.3, 0.9])
-    u /= np.linalg.norm(u)
-    np.testing.assert_allclose(radial_gauss(p, u), [0, 0, 1.0])
-    # +z is normal index 4 in axis_box order
-    np.testing.assert_array_equal(radial_gauss(p, u), p.normals[4])
-    u2 = np.array([-0.95, 0.1, 0.2])
-    u2 /= np.linalg.norm(u2)
-    np.testing.assert_allclose(radial_gauss(p, u2), [-1.0, 0, 0])
+    u = np.array([[0.2, -0.3, 0.9], [-0.95, 0.1, 0.2]])
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rho, facet, tie = radial_gauss(p, u)
+    # +z and -x are normals 4 and 1 in axis_box order
+    np.testing.assert_array_equal(facet, [4, 1])
+    np.testing.assert_allclose(p.normals[facet], [[0, 0, 1.0], [-1.0, 0, 0]])
+    np.testing.assert_allclose(rho, 1.0 / np.abs(u).max(axis=1), rtol=1e-15)
+    assert not tie.any()
 
 
-def test_radial_gauss_tie_returns_none():
-    p = cube()
-    edge = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
-    assert radial_gauss(p, edge) is None
-
-
-def test_radial_batch_tie_on_edge():
+def test_radial_gauss_ties_on_an_edge():
     p = cube()
     edge = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    rho, idx, tie = radial_batch(p.normals, p.offsets, edge[None, :])
+    rho, _, tie = radial_gauss(p, edge[None, :])
     assert tie[0]
     assert rho[0] == pytest.approx(np.sqrt(2.0))
 
 
-def test_radial_gauss_batch_matches_scalar(rng):
+def test_radial_gauss_matches_radial(rng):
     p = random_symmetric_polytope(rng, pairs=6)
     dirs = rng.normal(size=(40, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rho, idx, tie = radial_gauss_batch(p, dirs)
+    rho, idx, tie = radial_gauss(p, dirs)
+    # one kernel: the batch and the map read the same exits
+    np.testing.assert_array_equal(p.radial(dirs), rho)
     for k in range(len(dirs)):
-        assert rho[k] == pytest.approx(p.radial(dirs[k]), rel=1e-12)
-        if not tie[k]:
-            np.testing.assert_array_equal(radial_gauss(p, dirs[k]), p.normals[idx[k]])
-        else:
-            assert radial_gauss(p, dirs[k]) is None
+        assert p.radial(dirs[k]) == pytest.approx(rho[k], rel=1e-12)
+        dots = p.normals @ dirs[k]
+        assert rho[k] * dots[idx[k]] == pytest.approx(p.offsets[idx[k]], rel=1e-12)
+    assert not tie.any()
+
+
+@pytest.mark.parametrize("bad", [[2.0, 0, 0], [0.6, 0.8, 1e-4], [math.nan, 0, 1.0]])
+def test_radial_gauss_refuses_rows_that_are_not_unit(bad):
+    p = cube()
+    dirs = np.array([[0, 0, 1.0], bad])
+    with pytest.raises(GeometryError, match="finite unit vectors"):
+        radial_gauss(p, dirs)
+    with pytest.raises(GeometryError, match="finite unit vectors"):
+        p.radial(dirs)
 
 
 def test_cone_partition_covers_sphere_3d(rng):
@@ -78,16 +83,45 @@ def test_cone_partition_inactive_cell_empty():
     assert cells[4].solid_angle() == 0.0
 
 
-def test_cell_contains_its_directions(rng):
-    p = random_symmetric_polytope(rng, pairs=5)
-    cells = cone_partition(p)
-    dirs = rng.normal(size=(60, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    _, idx, tie = radial_gauss_batch(p, dirs)
-    for u, i, t in zip(dirs, idx, tie):
-        if t:
-            continue
-        assert cells[i].contains(u)
+def _rule_with_nodes(p):
+    """The body's sphere-side rule, its nodes included (the memo keeps
+    none): the fan_rows rule of measures._polygon_side."""
+    fid, starts, ends = fan_rows(p)
+    return spherical_polygon_rule(p.normals[fid], starts, ends)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_side_nodes_map_to_their_facets(rng, dim):
+    # with unit offsets the body is circumscribed about the unit ball, so
+    # each normal lies in its own cone cell and every fan triangle about it
+    # is positive and inside the cell: the radial Gauss map sends each node
+    # to the facet the rule files it under
+    v = rng.normal(size=(12, dim))
+    p = HPolytope(v / np.linalg.norm(v, axis=1, keepdims=True), np.ones(12))
+    nodes = _rule_with_nodes(p).nodes
+    w, rule_rho, rule_facet, _, _ = _sphere_side(p)
+    assert (w > 0).all()
+    rho, facet, tie = radial_gauss(p, nodes)
+    assert tie.mean() < 1e-3
+    np.testing.assert_array_equal(facet[~tie], rule_facet[~tie])
+    np.testing.assert_allclose(rho, rule_rho, rtol=1e-12)
+
+
+def test_sphere_side_rho_is_the_facet_planes_distance(rng):
+    # off-centre, a normal may lie outside its cell: signed fan triangles
+    # then put nodes outside it, where the rule's rho = h_i / (u . v_i) is
+    # the facet plane's distance, beyond the boundary; in the cell it is rho
+    # (a 2-d arc runs from vertex ray to vertex ray and stays in its cell)
+    p = random_symmetric_polytope(rng, pairs=6)
+    p = p.with_offsets(p.offsets * rng.uniform(0.6, 1.4, size=len(p.offsets)))
+    nodes = _rule_with_nodes(p).nodes
+    _, rule_rho, rule_facet, _, _ = _sphere_side(p)
+    rho, facet, tie = radial_gauss(p, nodes)
+    assert (rule_rho >= rho * (1.0 - 1e-12)).all()
+    same = facet == rule_facet
+    assert not same.all()
+    np.testing.assert_allclose(rule_rho[same], rho[same], rtol=1e-12)
+    assert (rule_rho[~same & ~tie] > rho[~same & ~tie]).all()
 
 
 def test_cube_cell_solid_angle():

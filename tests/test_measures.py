@@ -140,7 +140,7 @@ def test_cube_corner_cut_shorter_than_old_incidence_slack():
     for i in range(3):
         assert len(p.facet_vertices(i)) == 5
     cells = cone_partition(p)
-    assert [len(c.apex_rays) for c in cells[:6]] == [5, 5, 5, 4, 4, 4]
+    assert [len(p.facet_vertices(i)) for i in range(6)] == [5, 5, 5, 4, 4, 4]
     mu0 = dual_curvature_q0(p)
     assert mu0.total == pytest.approx(unit_ball_volume(3), rel=1e-12)
     atom = dual_curvature(p, 1.5).weights[0]
@@ -328,6 +328,23 @@ def test_smooth_density_ball_pointwise():
         dual_curvature_density_smooth(b, -1.0, u)
     with pytest.raises(GeometryError):
         dual_curvature_density_smooth(cube(), 1.0, u)
+
+
+def test_smooth_maps_take_one_direction_or_a_batch(rng):
+    # one broadcast expression: a row of the batch gives the single value
+    u = rng.normal(size=(7, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    for body in (Ball(1.5, 3), Ellipsoid(np.array([1.0, 2.0, 3.0]))):
+        for f in (body.support, body.radial,
+                  lambda v: dual_curvature_density_smooth(body, 1.5, v)):
+            batch = f(u)
+            assert batch.shape == (7,)
+            for k in range(7):
+                single = f(u[k])
+                assert isinstance(single, float)
+                assert single == pytest.approx(batch[k], rel=1e-14)
+        with pytest.raises(GeometryError, match="finite unit vectors"):
+            body.support(2.0 * u)
 
 
 def test_smooth_density_integrates_to_quermassintegral():
@@ -539,6 +556,24 @@ def test_measure_construction_validation():
     record["even"] = True
     with pytest.raises(GeometryError, match="marked even"):
         DiscreteSphericalMeasure.from_dict(record)
+
+
+@pytest.mark.parametrize("dirs", [[[1.0], [-1.0]], np.vstack([np.eye(4), -np.eye(4)])],
+                         ids=["1-d", "4-d"])
+def test_measures_outside_the_plane_and_space_refused(dirs):
+    with pytest.raises(GeometryError, match="dimension"):
+        DiscreteSphericalMeasure(np.asarray(dirs), np.ones(len(dirs)))
+
+
+@pytest.mark.parametrize("compare", [measure_l1, measure_max_discrepancy])
+def test_measure_comparisons_across_dimensions_refused(compare):
+    a = DiscreteSphericalMeasure(np.vstack([np.eye(3), -np.eye(3)])[:4], np.ones(4))
+    b = DiscreteSphericalMeasure(np.array([[1.0, 0], [0, 1.0]]), np.ones(2))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(GeometryError, match="cannot match"):
+            compare(x, y)
+    with pytest.raises(GeometryError, match="cannot match"):
+        b.weight_at(np.array([1.0, 0, 0]))
 
 
 def test_measure_even_detection():

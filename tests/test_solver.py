@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcurve import (DiscreteSphericalMeasure, GeometryError, HPolytope, SolverConfig,
+                       VPolytope,
                        check_subspace_mass, dual_curvature, measure_l1,
                        phi_gradient, phi_mu, solve_dual_minkowski)
 from dualcurve import solver
 from dualcurve.cli import _round_tree, main
 from dualcurve.measures import _atom_jacobian, _atoms
-from dualcurve.solver import FeasibilityResult, SubspaceQuery, _mass_bound
+from dualcurve.solver import FeasibilityResult, _mass_bound
 
 from conftest import cube, random_symmetric_polytope
 
@@ -141,9 +142,9 @@ def test_q_equals_n_bound_is_d_over_n():
     assert feas.bound == pytest.approx(1.0 / 3.0)
 
 
-def _contains(sub, v, tol=1e-9):
-    """Whether v lies in the subspace, within tol."""
-    resid = v - sub.basis.T @ (sub.basis @ v)
+def _contains(basis, v, tol=1e-9):
+    """Whether v lies in the span of the orthonormal rows of basis, within tol."""
+    resid = v - basis.T @ (basis @ v)
     return np.linalg.norm(resid) <= tol
 
 
@@ -159,7 +160,7 @@ def _subspace_mass_reference(mu, q):
             basis = mu.dirs[list(subset)]
             if np.linalg.matrix_rank(basis, tol=1e-10) < d:
                 continue
-            sub = SubspaceQuery(basis)
+            sub = np.linalg.qr(basis.T)[0].T
             mass = sum(w for v, w in zip(mu.dirs, mu.weights) if _contains(sub, v))
             ratio = mass / total
             if bound - ratio < worst.bound - worst.ratio:
@@ -190,7 +191,7 @@ def _same_feasibility(got, want):
     assert got.bound == want.bound
     assert (got.worst is None) == (want.worst is None)
     if want.worst is not None:
-        np.testing.assert_array_equal(got.worst.basis, want.worst.basis)
+        np.testing.assert_array_equal(got.worst, want.worst)
 
 
 @settings(max_examples=30, deadline=None)
@@ -225,9 +226,19 @@ def test_check_smi_payload_matches_reference(tmp_path, shape, q):
     want = _subspace_mass_reference(mu, q)
     assert res.exit_code == (0 if want.feasible else 3)
     expect = {"feasible": want.feasible, "worst_ratio": want.ratio, "bound": want.bound,
-              "worst_subspace_dim": want.worst.dim,
-              "worst_subspace_basis": [list(map(float, row)) for row in want.worst.basis]}
+              "worst_subspace_dim": len(want.worst),
+              "worst_subspace_basis": [list(map(float, row)) for row in want.worst]}
     assert json.loads(res.output) == _round_tree(expect)
+
+
+def test_check_smi_refuses_a_4d_measure(tmp_path):
+    path = tmp_path / "mu4.json"
+    path.write_text(json.dumps({"dim": 4, "atoms": [
+        {"dir": [float(s * (k == i)) for k in range(4)], "weight": 1.0}
+        for i in range(4) for s in (1, -1)]}))
+    res = CliRunner().invoke(main, ["check-smi", str(path), "--q", "2"])
+    assert res.exit_code == 2
+    assert "dimension 4" in res.output
 
 
 def test_subspace_mass_validation():
@@ -249,6 +260,15 @@ def test_phi_scale_invariance(rng):
     base = phi_mu(p, mu, 2.0)
     for lam in (0.1, 3.0, 40.0):
         assert abs(phi_mu(p.scale(lam), mu, 2.0) - base) <= 1e-10
+
+
+def test_phi_of_a_vpolytope_is_phi_of_its_halfspaces(rng):
+    p = random_symmetric_polytope(rng, pairs=5)
+    mu = _measure_of(p, 1.5)
+    v = VPolytope(p.vertices)
+    assert phi_mu(v, mu, 1.5) == pytest.approx(phi_mu(v.to_hpolytope(), mu, 1.5), rel=1e-12)
+    np.testing.assert_allclose(phi_gradient(v, mu, 1.5), phi_gradient(p, mu, 1.5),
+                               rtol=1e-9, atol=1e-12)
 
 
 def test_phi_gradient_zero_at_solution(rng):
@@ -291,8 +311,8 @@ def test_solver_config_validation():
                      [0, 1.0, 0, 0], [0, -1.0, 0, 0],
                      [0, 0, 1.0, 0], [0, 0, -1.0, 0],
                      [0, 0, 0, 1.0], [0, 0, 0, -1.0]])
-    mu4 = DiscreteSphericalMeasure(dirs, np.ones(8))
     with pytest.raises(GeometryError):
+        mu4 = DiscreteSphericalMeasure(dirs, np.ones(8))
         solve_dual_minkowski(mu4, SolverConfig(q=2.0))
 
 
