@@ -26,7 +26,19 @@ def test_radial_gauss_on_cube_interior_directions():
     assert not tie.any()
 
 
-def test_radial_gauss_ties_on_an_edge():
+def test_radial_gauss_tie_returns_none():
+    # on a cube edge the map is not single-valued: the tie flag is set and
+    # the +x and +y planes (axis_box normals 0 and 2) both meet u at rho
+    p = cube()
+    edge = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
+    rho, facet, tie = radial_gauss(p, edge[None, :])
+    assert tie[0]
+    assert facet[0] in (0, 2)
+    np.testing.assert_allclose(rho[0] * (p.normals[[0, 2]] @ edge), p.offsets[[0, 2]],
+                               rtol=1e-15)
+
+
+def test_radial_batch_tie_on_edge():
     p = cube()
     edge = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     rho, _, tie = radial_gauss(p, edge[None, :])
