@@ -3,8 +3,7 @@
 from .body_core import (Ball, Ellipsoid, GeometryError, HPolytope, VPolytope,
                         body_from_dict, convex_hull_of_radial, polar,
                         wulff_polar_identity_check, wulff_shape)
-from .gauss_maps import (ConeCell, cone_partition, radial_gauss,
-                         reverse_radial_gauss_smooth)
+from .gauss_maps import cone_partition, radial_gauss, reverse_radial_gauss_smooth
 from .measures import (DiscreteSphericalMeasure, cone_volume_measure,
                        dual_area, dual_curvature, dual_curvature_density_smooth,
                        dual_curvature_q0, dual_quermassintegral,
@@ -28,7 +27,6 @@ BACKEND = "python"
 __all__ = [
     "BACKEND",
     "Ball",
-    "ConeCell",
     "DiscreteSphericalMeasure",
     "Ellipsoid",
     "FeasibilityResult",

@@ -24,6 +24,8 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 MERGE_TOL = 1e-9
 INTERIOR_TOL = 1e-12
+# two unit directions within this distance are the same direction
+SAME_DIRECTION = 1e-9
 
 
 class GeometryError(ValueError):
@@ -36,15 +38,16 @@ def require_dim(n):
         raise GeometryError(f"dimension {n} is not served: n must be 2 or 3")
 
 
-def direction_pairs(dirs, tol=1e-9):
+def direction_pairs(dirs):
     """One k-d tree pair query over the directions and their negatives.
 
-    Returns whether two directions lie within tol of each other, and the
-    index of the direction within tol of -v for each direction v (None
-    when some direction has no antipode).
+    Returns whether two directions are the same (within SAME_DIRECTION),
+    and the index of the direction -v for each direction v (None when some
+    direction has no antipode).
     """
     m = len(dirs)
-    a, b = cKDTree(np.vstack([dirs, -dirs])).query_pairs(tol, output_type="ndarray").T
+    a, b = cKDTree(np.vstack([dirs, -dirs])).query_pairs(
+        SAME_DIRECTION, output_type="ndarray").T
     # a < b: a pair across the halves is an antipode, one inside a half
     # (or its mirror in the other) two close directions
     across = (a < m) & (b >= m)
@@ -53,15 +56,15 @@ def direction_pairs(dirs, tol=1e-9):
     return not across.all(), None if (j < 0).any() else j
 
 
-def match_directions(a, b, tol=1e-9):
-    """For each row of a, the index of the nearest row of b within tol
-    (distance <= tol), or -1: one k-d tree query over b.  Directions of
-    different dimensions raise GeometryError."""
+def match_directions(a, b):
+    """For each row of a, the index of the nearest row of b within
+    SAME_DIRECTION (distance <= SAME_DIRECTION), or -1: one k-d tree query
+    over b.  Directions of different dimensions raise GeometryError."""
     if a.shape[-1] != b.shape[-1]:
         raise GeometryError(f"cannot match {a.shape[-1]}-d directions "
                             f"with {b.shape[-1]}-d ones")
-    # the query's upper bound is strict; the next float above tol keeps <=
-    _, j = cKDTree(b).query(a, distance_upper_bound=np.nextafter(tol, np.inf))
+    # the query's upper bound is strict; the next float above keeps <=
+    _, j = cKDTree(b).query(a, distance_upper_bound=np.nextafter(SAME_DIRECTION, np.inf))
     j[j == len(b)] = -1
     return j
 
@@ -70,8 +73,8 @@ def unit_rows(v, what):
     """Validate a matrix of unit row vectors and pair them once.
 
     The rows pass as_direction; returns them read-only with direction_pairs
-    of them: whether two rows lie within 1e-9 of each other, and the
-    antipode index (or None).
+    of them: whether two rows are the same direction, and the antipode
+    index (or None).
     """
     rows = np.atleast_2d(np.asarray(v, float))
     if rows.ndim != 2:
@@ -87,6 +90,14 @@ def unit(v):
     if n == 0.0:
         raise GeometryError("zero vector has no direction")
     return v / n
+
+
+def cross(a, b):
+    """Row-wise cross products of (k, 3) arrays, without the per-call
+    overhead of NumPy's general cross product."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
 
 
 def as_direction(v, what="directions"):
@@ -145,7 +156,7 @@ def _merge_simplices(hull, keys, tol):
     return labels, first
 
 
-def _merge_points(points, tol=MERGE_TOL):
+def _merge_points(points, tol):
     """Greedy dedupe of nearby points; returns representatives.
 
     In index order, a point that no earlier kept point absorbed is kept and
@@ -214,13 +225,24 @@ class _PolarHull:
         return fac[ok], other[ok], np.tile(lab[s], 2)[ok], np.tile(lab[t], 2)[ok]
 
 
-class _Polytope:
+class _Body:
+    """What every body does with the directions its maps are given."""
+
+    def _direction(self, v):
+        """as_direction of v, whose vectors must have dim coordinates."""
+        v = np.asarray(v, float)
+        if v.shape[-1:] != (self.dim,):
+            raise GeometryError(f"directions must be vectors of {self.dim} coordinates")
+        return as_direction(v)
+
+
+class _Polytope(_Body):
     """What both polytope representations read off their vertex list."""
 
     def support(self, v):
         """Support function h(v) = max over the vertices x of x . v, at one
         unit direction (a float) or along the rows of a (k, n) batch."""
-        return (as_direction(v) @ self.vertices.T).max(axis=-1)
+        return (self._direction(v) @ self.vertices.T).max(axis=-1)
 
 
 class HPolytope(_Polytope):
@@ -316,7 +338,7 @@ class HPolytope(_Polytope):
             centre = np.stack([np.bincount(fac, x[ver, c], minlength=m)
                                for c in range(3)], axis=1) / count[:, None]
             f, _, a, b = self._polar.edges
-            tri = np.cross(x[a] - centre[f], x[b] - x[a])
+            tri = cross(x[a] - centre[f], x[b] - x[a])
             areas = 0.5 * np.bincount(f, np.linalg.norm(tri, axis=1), minlength=m)
         areas.flags.writeable = False
         return areas
@@ -336,7 +358,7 @@ class HPolytope(_Polytope):
         """The distance h_i / (u . v_i) at which the ray along u leaves
         halfspace i, inf where u . v_i <= 0, along the last axis of u: the
         one kernel of radial and of gauss_maps.radial_gauss."""
-        dots = as_direction(u) @ self.normals.T
+        dots = self._direction(u) @ self.normals.T
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(dots > 0.0, self.offsets / dots, np.inf)
 
@@ -440,7 +462,7 @@ class VPolytope(_Polytope):
 # -- smooth bodies --------------------------------------------------------
 
 
-class SmoothBody:
+class SmoothBody(_Body):
     kind = "smooth"
 
 
@@ -457,13 +479,13 @@ class Ball(SmoothBody):
     def support(self, v):
         """The radius at one unit direction (a float) or along the rows of a
         (k, n) batch."""
-        return np.full(as_direction(v).shape[:-1], self.radius)[()]
+        return np.full(self._direction(v).shape[:-1], self.radius)[()]
 
     # a ball about the origin has rho = h
     radial = support
 
     def grad_support(self, v):
-        return self.radius * as_direction(v)
+        return self.radius * self._direction(v)
 
     def curvature_det(self, v):
         """det(h_ij + h delta_ij) at v."""
@@ -492,15 +514,15 @@ class Ellipsoid(SmoothBody):
     def support(self, v):
         """|A v| with A = diag(axes), at one unit direction (a float) or
         along the rows of a (k, n) batch."""
-        return np.sqrt(np.sum((self.axes * as_direction(v)) ** 2, axis=-1))
+        return np.sqrt(np.sum((self.axes * self._direction(v)) ** 2, axis=-1))
 
     def radial(self, u):
         """1 / |A^-1 u|, at one unit direction (a float) or along the rows
         of a (k, n) batch."""
-        return 1.0 / np.sqrt(np.sum((as_direction(u) / self.axes) ** 2, axis=-1))
+        return 1.0 / np.sqrt(np.sum((self._direction(u) / self.axes) ** 2, axis=-1))
 
     def grad_support(self, v):
-        v = as_direction(v)
+        v = self._direction(v)
         return self.axes**2 * v / self.support(v)[..., None]
 
     def curvature_det(self, v):
@@ -546,17 +568,17 @@ def convex_hull_of_radial(dirs, rho):
     return VPolytope(dirs * rho[:, None])
 
 
-def wulff_polar_identity_check(dirs, h, tol=1e-9):
+def wulff_polar_identity_check(dirs, h):
     """Compare the polar of a Wulff shape with the hull of the reciprocal radial graph.
 
     Returns (ok, max vertex discrepancy): the two vertex sets must agree
-    within a symmetric Hausdorff distance of tol.
+    within a symmetric Hausdorff distance of 1e-9.
     """
     w = wulff_shape(dirs, h)
     lhs = polar(w).vertices
     rhs = convex_hull_of_radial(dirs, 1.0 / np.asarray(h, float)).vertices
     disc = _hausdorff(lhs, rhs)
-    return disc <= tol, disc
+    return disc <= 1e-9, disc
 
 
 def _hausdorff(a, b):

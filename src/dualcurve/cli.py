@@ -235,8 +235,9 @@ def _suite_valuation(body, qs, rng):
         lo2[2] = -(abs(lo[2]) + stretch)
         hi2[2] = hi[2] * float(rng.uniform(0.4, 0.9))
         other = _box(lo2, hi2)
-        disc, mk = ms._valuation(body, other, q)
-        scale = max(mk.weights.max(), 1e-300)
+        disc = ms.valuation_check(body, other, q)
+        # the atoms are memoized per body: valuation_check evaluated them
+        scale = max(ms.dual_curvature(body, q).weights.max(), 1e-300)
         checks.append({"name": f"valuation q={q:g}", "value": disc / scale, "bound": 1e-5})
     return checks
 

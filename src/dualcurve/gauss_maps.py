@@ -10,50 +10,25 @@ the oriented rows of fan_rows: in 3-d one per (edge, facet) pair, in 2-d
 one per (facet, vertex pair).  The facet-side atoms and the sphere-side
 rules in measures read the same rows in both dimensions, and
 cone_partition takes every cell's solid angle from them in one
-closed-form pass.
+closed-form pass: the cone cells are one array of solid angles, indexed
+by halfspace, and a cell's boundary is its facet's rows of fan_rows.
 """
 
 import numpy as np
 
-from .body_core import GeometryError, SmoothBody, unit
+from .body_core import GeometryError, SmoothBody, cross, unit
 
 TIE_TOL = 1e-10
 
 
-class ConeCell:
-    """Spherical cone of one facet: all unit u with rho(u) u on that facet.
-
-    The cell's boundary is its facet's rows of fan_rows, starts and ends
-    (unit rays) running counterclockwise about the normal: in 3-d one per
-    edge of the facet; in 2-d the cell's one arc, from starts[0] to
-    ends[0].  An empty cell has no rows.
-    """
-
-    def __init__(self, facet_index, normal, offset, starts, ends, solid_angle):
-        self.facet_index = int(facet_index)
-        self.normal = np.asarray(normal, float)
-        self.offset = float(offset)
-        self.starts = np.asarray(starts, float)
-        self.ends = np.asarray(ends, float)
-        self._solid_angle = float(solid_angle)
-
-    @property
-    def empty(self):
-        return len(self.starts) == 0
-
-    def solid_angle(self):
-        """Spherical measure of the cell, closed-form (see cone_partition)."""
-        return self._solid_angle
-
-
-def radial_gauss(P, dirs, tie_tol=TIE_TOL):
+def radial_gauss(P, dirs):
     """The radial Gauss map of the H-polytope P along the rows of a (k, n)
     batch of unit directions.
 
     Returns (rho, facet, tie): the radial function min h_i / (u . v_i) over
     the facets with u . v_i > 0 (P.radial's kernel), the argmin facet, whose
     normal is the outer normal at the boundary point rho(u) u, and whether a
-    second facet ties within relative tie_tol.  A tie means u points at a
+    second facet ties within relative TIE_TOL.  A tie means u points at a
     lower-dimensional face (the measure-zero cone-boundary set), where the
     map is not single-valued; no tie is broken.  Rows that are not finite
     unit vectors raise GeometryError.
@@ -63,7 +38,7 @@ def radial_gauss(P, dirs, tie_tol=TIE_TOL):
     rho = np.take_along_axis(exits, facet[..., None], -1)[..., 0]
     # the second-nearest exit for the tie test
     np.put_along_axis(exits, facet[..., None], np.inf, -1)
-    tie = exits.min(axis=-1) - rho <= tie_tol * rho
+    tie = exits.min(axis=-1) - rho <= TIE_TOL * rho
     return rho, facet, tie
 
 
@@ -85,18 +60,19 @@ def fan_rows(P):
     else:
         fid, other, ia, ib = g.edges
         v = P.normals
-        flip = np.einsum("ej,ej->e", x[ib] - x[ia], np.cross(v[fid], v[other])) < 0.0
+        flip = np.einsum("ej,ej->e", x[ib] - x[ia], cross(v[fid], v[other])) < 0.0
     return fid, rays[np.where(flip, ib, ia)], rays[np.where(flip, ia, ib)]
 
 
 def cone_partition(P):
-    """One ConeCell per halfspace; a halfspace with no facet yields an
-    empty cell.
+    """The solid angles of the cone cells, a read-only (m,) array with one
+    entry per halfspace: 0 for a halfspace with no facet, whose cell is
+    empty.
 
-    Cells cover the sphere and overlap only on boundaries.  Each cell holds
-    its facet's rows of fan_rows, and all solid angles come from one pass
-    over those rows: in 2-d the angle atan2(det[a, b], a.b) from a to b; in
-    3-d the sum over the facet's rows of the signed triangle (v, a, b)
+    Cells cover the sphere and overlap only on boundaries.  The boundary of
+    cell i is facet i's rows of fan_rows, and all solid angles come from one
+    pass over those rows: in 2-d the angle atan2(det[a, b], a.b) from a to
+    b; in 3-d the sum over the facet's rows of the signed triangle (v, a, b)
     about its normal v, whose solid angle is
     2 atan2(det[v, a, b], 1 + v.a + a.b + b.v) (Van Oosterom & Strackee,
     IEEE Trans. Biomed. Eng. 30, 1983), taken in terms of s = a + b.
@@ -112,14 +88,13 @@ def cone_partition(P):
         # with s = a + b, 1 + a.b = |s|^2 / 2 and det[v, a, b] = det[v, a, s]:
         # these keep their accuracy when a and b are nearly antipodal (an
         # edge seen from close by, on a thin body), where 1 + a.b cancels
-        det = np.einsum("ij,ij->i", w, np.cross(starts, s))
+        det = np.einsum("ij,ij->i", w, cross(starts, s))
         dots = np.einsum("ij,ij->i", w + 0.5 * s, s)
         angles = 2.0 * np.arctan2(det, dots)
-    total = np.bincount(fid, angles, minlength=m)
-    order = np.argsort(fid, kind="stable")
-    cuts = np.searchsorted(fid[order], np.arange(1, m))
-    return [ConeCell(i, v[i], P.offsets[i], starts[rows], ends[rows], total[i])
-            for i, rows in enumerate(np.split(order, cuts))]
+    # np.bincount gives integers when it has no rows to count
+    angles = np.bincount(fid, angles, minlength=m).astype(float, copy=False)
+    angles.flags.writeable = False
+    return angles
 
 
 def reverse_radial_gauss_smooth(K, v):

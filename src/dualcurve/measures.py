@@ -24,11 +24,12 @@ Its nodes, weights and rho do not depend on q, so the body's memo (see
 body_core.HPolytope) keeps its weights, rho and facets, and
 dual_quermassintegral, dual_area and dual_steiner_check at every q read
 that one rule.  The total, the normalized volume and the Steiner fit are
-sums over it, and dual_area reads a cone cell's value off it by facet.
-The rule has a coarse companion on the same panels, built when an error
-estimate is first read and then kept in the memo too; their difference
-is that estimate.  The atoms of each index and the index-0 solid angles
-are kept in the same memo.
+sums over it, and dual_area sums it by facet into one value per cone
+cell, the sphere-side twin of the atoms.  The rule has a coarse
+companion on the same panels, built when an error estimate is first read
+and then kept in the memo too; their difference is that estimate.  The
+atoms of each index and the index-0 solid angles (cone_partition's
+array) are kept in the same memo.
 """
 
 import functools
@@ -37,10 +38,11 @@ import math
 import numpy as np
 
 from .body_core import (GeometryError, HPolytope, SmoothBody, VPolytope,
-                        as_direction, match_directions, require_dim,
+                        as_direction, cross, match_directions, require_dim,
                         unit_rows)
-from .gauss_maps import ConeCell, cone_partition, fan_rows
-from .quadrature import _panel_counts, panel_rule, sphere_rule, spherical_polygon_rule
+from .gauss_maps import cone_partition, fan_rows
+from .quadrature import (ROW_BLOCK, _panel_counts, panel_rule, sphere_rule,
+                         spherical_polygon_rule)
 
 SMOOTH_LEVELS = {2: 10, 3: 6}
 
@@ -75,15 +77,15 @@ class DiscreteSphericalMeasure:
     def total(self):
         return float(self.weights.sum())
 
-    def weight_at(self, v, tol=1e-9):
-        """Atom weight at direction v (0 if no atom lies within tol)."""
-        return float(self._weights_at(as_direction(v)[None, :], tol)[0])
+    def weight_at(self, v):
+        """Atom weight at direction v (0 if no atom has that direction)."""
+        return float(self._weights_at(as_direction(v)[None, :])[0])
 
-    def _weights_at(self, dirs, tol):
-        """Weight of the nearest atom within tol of each row of dirs (0 where
-        no atom lies within tol)."""
+    def _weights_at(self, dirs):
+        """Weight of the atom at each row's direction (0 where no atom has
+        it), matched by body_core.match_directions."""
         # j = -1 picks the appended 0
-        return np.append(self.weights, 0.0)[match_directions(dirs, self.dirs, tol)]
+        return np.append(self.weights, 0.0)[match_directions(dirs, self.dirs)]
 
     def scaled(self, c):
         return DiscreteSphericalMeasure(self.dirs, self.weights * c)
@@ -121,30 +123,23 @@ class DiscreteSphericalMeasure:
         return f"DiscreteSphericalMeasure(dim={self.dim}, atoms={len(self)}, total={self.total:.6g})"
 
 
-def measure_max_discrepancy(mu_a, mu_b, tol=1e-9):
+def measure_max_discrepancy(mu_a, mu_b):
     """Max atom difference over both direction sets: each atom against the
-    nearest atom of the other measure within tol, or 0."""
-    return float(max(np.abs(mu_a.weights - mu_b._weights_at(mu_a.dirs, tol)).max(initial=0.0),
-                     np.abs(mu_b.weights - mu_a._weights_at(mu_b.dirs, tol)).max(initial=0.0)))
+    other measure's atom at its direction, or 0."""
+    return float(max(np.abs(mu_a.weights - mu_b._weights_at(mu_a.dirs)).max(initial=0.0),
+                     np.abs(mu_b.weights - mu_a._weights_at(mu_b.dirs)).max(initial=0.0)))
 
 
-def measure_l1(mu_a, mu_b, tol=1e-9):
+def measure_l1(mu_a, mu_b):
     """L1 distance over the merged direction set: each atom of mu_a against
-    the nearest atom of mu_b within tol, plus the atoms of mu_b with no atom
-    of mu_a within tol."""
-    alone = match_directions(mu_b.dirs, mu_a.dirs, tol) < 0
-    return float(np.abs(mu_a.weights - mu_b._weights_at(mu_a.dirs, tol)).sum()
+    mu_b's atom at its direction, plus the atoms of mu_b at directions where
+    mu_a has none."""
+    alone = match_directions(mu_b.dirs, mu_a.dirs) < 0
+    return float(np.abs(mu_a.weights - mu_b._weights_at(mu_a.dirs)).sum()
                  + mu_b.weights[alone].sum())
 
 
 # -- polytope paths --------------------------------------------------------
-
-
-# rows per block of the (edge, node) arrays of _atoms_3d_radial: at up to
-# 128 nodes a row (8 panels), each temporary stays within 64 KB, inside the
-# cache and small enough for the allocator to reuse instead of mapping
-# fresh pages per call
-EDGE_BLOCK = 64
 
 
 def _atoms_3d_radial(P, q):
@@ -157,7 +152,7 @@ def _atoms_3d_radial(P, q):
     the integrand analytic with poles pi/2 off the real axis, so a few
     Gauss panels reach near machine accuracy even for skinny wedges.
 
-    One pass over the body's (edge, facet) rows, EDGE_BLOCK rows at a
+    One pass over the body's (edge, facet) rows, ROW_BLOCK rows at a
     time for the (edge, node) arrays: the edge's line lies at
     distance m from the foot, and an end at signed position t along it
     (from the foot's projection) has tan phi = t/m.  A wedge counts with
@@ -172,7 +167,7 @@ def _atoms_3d_radial(P, q):
     # ends of an edge are distinct vertices, more than MERGE_TOL apart
     elen = np.linalg.norm(edge, axis=1)
     edge /= elen[:, None]
-    m = np.linalg.norm(np.cross(rel, edge), axis=1)
+    m = np.linalg.norm(cross(rel, edge), axis=1)
     # a foot on the edge's line spans no wedge
     good = m * elen > 1e-14 * np.maximum(elen, 1.0)
     fid, other, hh, m, elen = fid[good], other[good], hh[good], m[good], elen[good]
@@ -181,8 +176,8 @@ def _atoms_3d_radial(P, q):
     wa = np.arcsinh(ta / m)
     wb = np.arcsinh((ta + elen) / m)
     sums = np.empty(len(wa))
-    for lo in range(0, len(wa), EDGE_BLOCK):
-        b = slice(lo, lo + EDGE_BLOCK)
+    for lo in range(0, len(wa), ROW_BLOCK):
+        b = slice(lo, lo + ROW_BLOCK)
         sums[b] = _wedge_sums(q, wa[b], wb[b], m[b], hh[b])
     vals = np.where(inside, 1.0, -1.0) * sums
     return np.bincount(fid, hh * vals / 3.0, minlength=len(h))
@@ -297,11 +292,11 @@ def _atom_jacobian(P, q, atoms):
         edge = x[ib] - x[ia]
         elen = np.linalg.norm(edge, axis=1)
         edge /= elen[:, None]
-        dist = np.linalg.norm(np.cross(x[ia], edge), axis=1)
+        dist = np.linalg.norm(cross(x[ia], edge), axis=1)
         ta = np.einsum("ej,ej->e", x[ia], edge)
         nodes, wts = _gauss_panels(np.arcsinh(ta / dist), np.arcsinh((ta + elen) / dist))
         vals = dist ** (q - 2.0) * (wts * np.cosh(nodes) ** (q - 2.0)).sum(axis=1)
-        sin = np.linalg.norm(np.cross(v[i], v[j]), axis=1)
+        sin = np.linalg.norm(cross(v[i], v[j]), axis=1)
     vals *= h[i] * h[j] / (n * sin)
     J = np.zeros((m, m))
     J[i, j] = vals
@@ -350,13 +345,7 @@ def dual_curvature_q0(P):
     the polar body.
     """
     P = _require_hpolytope(P)
-    return _facet_measure(P, P._memoized("q0", _solid_angles, P) / P.dim)
-
-
-def _solid_angles(P):
-    angles = np.array([c.solid_angle() for c in cone_partition(P)])
-    angles.flags.writeable = False
-    return angles
+    return _facet_measure(P, P._memoized("q0", cone_partition, P) / P.dim)
 
 
 def cone_volume_measure(P):
@@ -488,20 +477,18 @@ def dual_quermassintegral(K, q):
     return DualQuermassResult(q, value, normalized, error)
 
 
-def dual_area(K, q, region=None):
-    """(1/n) integral of rho^q over a spherical region.
+def dual_area(K, q):
+    """(1/n) integral of rho^q over each cone cell of the polytope K: an
+    (m,) array, one entry per halfspace (0 for an empty cell), read off
+    the one sphere-side rule by the facet each node lies in.
 
-    region=None is the whole sphere; otherwise a ConeCell or list of them
-    from this polytope's cone partition, each read off the one sphere-side
-    rule by the facet its nodes lie in.  Over the cell of facet i this is
-    the dual curvature atom of facet i.
+    The sphere-side twin of the atoms: entry i matches the dual curvature
+    atom of facet i.  The whole sphere's value is
+    dual_quermassintegral(K, q).value.
     """
-    if region is None:
-        return dual_quermassintegral(K, q).value
-    facets = [c.facet_index for c in ([region] if isinstance(region, ConeCell) else region)]
-    w, rho, facet, _, n = _sphere_side(_require_hpolytope(K))
-    cells = np.bincount(facet, w * rho**q, minlength=max(facets, default=-1) + 1)
-    return float(cells[facets].sum()) / n
+    P = _require_hpolytope(K)
+    w, rho, facet, _, n = _sphere_side(P)
+    return np.bincount(facet, w * rho**q, minlength=len(P.normals)) / n
 
 
 def dual_steiner_check(K, t_samples):
@@ -540,10 +527,11 @@ def dual_curvature_density_smooth(K, q, v):
 # -- set operations and the valuation identity ------------------------------
 
 
-def intersect_hpolytopes(K, L, tol=1e-9):
-    """Halfspace intersection: a normal of L within tol of one of K keeps the
-    smaller offset on K's nearest normal; the others are appended in order."""
-    j = match_directions(L.normals, K.normals, tol)
+def intersect_hpolytopes(K, L):
+    """Halfspace intersection: a normal of L that is the same direction as
+    one of K's (body_core.match_directions) keeps the smaller offset on K's
+    nearest normal; the others are appended in order."""
+    j = match_directions(L.normals, K.normals)
     hit = j >= 0
     offsets = K.offsets.copy()
     np.minimum.at(offsets, j[hit], L.offsets[hit])
@@ -555,19 +543,14 @@ def hull_of_union(K, L):
     return VPolytope(np.vstack([K.vertices, L.vertices])).to_hpolytope()
 
 
-def valuation_check(K, L, q, tol=1e-9):
+def valuation_check(K, L, q):
     """Max atom discrepancy in the inclusion-exclusion identity for index q.
 
     The identity is tested at every atom direction of the four measures,
-    each measure weighing a direction by its nearest atom within tol (0 if
-    none).  Requires the union to be convex, verified by the volume
-    identity V(conv(K u L)) = V(K) + V(L) - V(K n L).
+    each measure weighing a direction by its atom there (0 if none).
+    Requires the union to be convex, verified by the volume identity
+    V(conv(K u L)) = V(K) + V(L) - V(K n L).
     """
-    return _valuation(K, L, q, tol)[0]
-
-
-def _valuation(K, L, q, tol=1e-9):
-    """valuation_check's discrepancy with the index-q measure of K."""
     K = _require_hpolytope(K)
     L = _require_hpolytope(L)
     inter = intersect_hpolytopes(K, L)
@@ -581,5 +564,5 @@ def _valuation(K, L, q, tol=1e-9):
     mi, mh = dual_curvature(inter, q), dual_curvature(hull, q)
     # a direction in several measures gives the same difference each time
     dirs = np.vstack([mk.dirs, ml.dirs, mi.dirs, mh.dirs])
-    wk, wl, wi, wh = (m._weights_at(dirs, tol) for m in (mk, ml, mi, mh))
-    return float(np.abs((wk + wl) - (wi + wh)).max(initial=0.0)), mk
+    wk, wl, wi, wh = (m._weights_at(dirs) for m in (mk, ml, mi, mh))
+    return float(np.abs((wk + wl) - (wi + wh)).max(initial=0.0))

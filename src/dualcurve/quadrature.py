@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import roots_legendre
 
-from .body_core import GeometryError, require_dim
+from .body_core import GeometryError, cross, require_dim
 
 
 def unit_ball_volume(n):
@@ -91,8 +91,11 @@ def sphere_rule(n, level):
 FAN_NODES = 12
 FAN_COARSE_NODES = 8
 FAN_PANEL_WIDTH = 2.0
-# rows per block of _fan_nodes, which bounds its (row, node, 3) temporaries
-FAN_BLOCK = 64
+# rows per block of the per-node temporaries of _fan_nodes and of
+# measures._atoms_3d_radial, which bounds their size: small enough to stay
+# in the cache and for the allocator to reuse instead of mapping fresh
+# pages per call
+ROW_BLOCK = 64
 
 
 def _panel_counts(length):
@@ -147,13 +150,13 @@ def spherical_polygon_rule(poles, starts, ends):
     d = zb - za
     length = np.linalg.norm(d, axis=1)
     # signed distance from the pole to the segment's line, times its length
-    cr = np.einsum("ij,ij->i", poles, _cross(za, d))
+    cr = np.einsum("ij,ij->i", poles, cross(za, d))
     rows = np.flatnonzero(np.abs(cr) > 1e-14 * length)
     p, za, zb = poles[rows], za[rows], zb[rows]
     dist = np.abs(cr[rows]) / length[rows]
     # t0 points from the pole to the line's nearest point, t1 = p x t0
     t1 = d[rows] * (np.sign(cr[rows]) / length[rows])[:, None]
-    basis = np.stack([p, _cross(t1, p), t1], axis=1)
+    basis = np.stack([p, cross(t1, p), t1], axis=1)
     sa = np.arcsinh(np.einsum("ij,ij->i", za, t1) / dist)
     sb = np.arcsinh(np.einsum("ij,ij->i", zb, t1) / dist)
     # w at the edge's far end, the largest on the row
@@ -186,14 +189,6 @@ def _arc_nodes(k, poles, wa, wb, panels):
     return np.concatenate(nodes), np.concatenate(weights), np.concatenate(edge)
 
 
-def _cross(a, b):
-    """Row-wise cross products of (k, 3) arrays, without np.cross's
-    per-call overhead."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-
-
 @functools.cache
 def _panel_places(n_nodes, n_panels):
     """Places in [0, 1] of n_nodes Gauss nodes on each of n_panels equal
@@ -220,14 +215,14 @@ def _fan_nodes(k, rows, basis, dist, sa, sb, ns, nw):
     panel: ns panels on [sa, sb] in sigma, and on each sigma node nw panels
     on [0, asinh(dist cosh(sigma))] in w.  basis holds each row's pole, t0
     and t1; the rows that share their panel counts are dense blocks of up
-    to FAN_BLOCK rows."""
+    to ROW_BLOCK rows."""
     nodes, weights, edge = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0, int)]
     # one key per (ns, nw) pair
     counts = ns * (nw.max(initial=0) + 1) + nw
     for c in np.unique(counts):
         group = np.flatnonzero(counts == c)
-        for lo in range(0, len(group), FAN_BLOCK):
-            g = group[lo:lo + FAN_BLOCK]
+        for lo in range(0, len(group), ROW_BLOCK):
+            g = group[lo:lo + ROW_BLOCK]
             sigma, w_sigma = panel_rule(sa[g], sb[g], k, ns[g[0]])
             cs = np.cosh(sigma)
             reach = np.arcsinh(dist[g, None] * cs).ravel()

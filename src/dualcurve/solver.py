@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .body_core import GeometryError, HPolytope, wulff_shape
+from .body_core import SAME_DIRECTION, GeometryError, HPolytope, wulff_shape
 from .measures import (DiscreteSphericalMeasure, _atom_jacobian, _atoms,
                        dual_quermassintegral)
 from .quadrature import unit_ball_volume
@@ -158,7 +158,7 @@ def check_subspace_mass(mu, q):
             continue
         frames, _ = np.linalg.qr(np.swapaxes(bases, 1, 2))
         resid = mu.dirs - (mu.dirs @ frames) @ np.swapaxes(frames, 1, 2)
-        inside = np.linalg.norm(resid, axis=2) <= 1e-9
+        inside = np.linalg.norm(resid, axis=2) <= SAME_DIRECTION
         # summed atom by atom, in order, so near-ties resolve as one
         # membership test per atom would
         ratio = np.cumsum(np.where(inside, mu.weights, 0.0), axis=1)[:, -1] / total
@@ -202,11 +202,11 @@ def phi_gradient(K, mu, q):
     return atoms / w_total - mu.weights / mu.total
 
 
-def _as_wulff_on(K, mu, tol=1e-9):
+def _as_wulff_on(K, mu):
     """Restrict K to a Wulff shape on mu's support directions."""
     if isinstance(K, HPolytope) and len(K.normals) == len(mu.dirs):
         d = np.linalg.norm(K.normals - mu.dirs, axis=1)
-        if (d <= tol).all():
+        if (d <= SAME_DIRECTION).all():
             return K
     return wulff_shape(mu.dirs, K.support(mu.dirs))
 

@@ -10,8 +10,8 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        GeometryError, HPolytope, VPolytope, body_from_dict,
                        convex_hull_of_radial, dual_curvature, polar,
                        sphere_rule, wulff_polar_identity_check, wulff_shape)
-from dualcurve.body_core import (_hausdorff, _merge_points, direction_pairs,
-                                 match_directions)
+from dualcurve.body_core import (SAME_DIRECTION, _hausdorff, _merge_points,
+                                 direction_pairs, match_directions)
 
 from conftest import axis_box, cube, random_symmetric_polytope
 
@@ -26,6 +26,35 @@ def test_all_names_the_package_binds_once():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(dualcurve.__all__) == len(set(dualcurve.__all__))
     assert set(dualcurve.__all__) == public
+
+
+def test_no_public_name_takes_a_tolerance():
+    # tolerances are module constants; the solver's stopping tolerance is
+    # the one a caller sets
+    import inspect
+
+    import dualcurve
+    for name in dualcurve.__all__:
+        value = getattr(dualcurve, name)
+        if inspect.isclass(value):
+            funcs = [(f"{name}.{attr}", f) for attr, f in inspect.getmembers(
+                value, lambda f: inspect.isfunction(f) or inspect.ismethod(f))]
+        else:
+            funcs = [(name, value)] if callable(value) else []
+        for where, f in funcs:
+            if where != "SolverConfig.__init__":
+                assert not set(inspect.signature(f).parameters) & {"tol", "tie_tol"}, where
+
+
+@pytest.mark.parametrize("make", [cube, lambda: VPolytope(cube().vertices),
+                                  lambda: Ball(1.0, 3), lambda: Ellipsoid([1.0, 2.0, 3.0])],
+                         ids=["hpolytope", "vpolytope", "ball", "ellipsoid"])
+def test_maps_refuse_directions_of_another_dimension(make):
+    body = make()
+    for f in (body.support, body.radial):
+        for u in ([1.0, 0.0], [[1.0, 0.0]] * 2, [0.5, 0.5, 0.5, 0.5], 1.0):
+            with pytest.raises(GeometryError, match="3 coordinates"):
+                f(u)
 
 
 def test_polytope_maps_take_one_direction_or_a_batch(rng):
@@ -272,7 +301,7 @@ def _close_pair_pairwise(dirs, tol):
 @pytest.mark.parametrize("seed", range(12))
 def test_kd_tree_queries_match_pairwise_arrays(seed, dim):
     rng = np.random.default_rng(seed)
-    tol = 1e-9
+    tol = SAME_DIRECTION
     v = rng.normal(size=(int(rng.integers(1, 60)), dim))
     v /= np.linalg.norm(v, axis=1)[:, None]
     base = np.vstack([v, -v])
@@ -285,7 +314,7 @@ def test_kd_tree_queries_match_pairwise_arrays(seed, dim):
         dirs = base.copy()
         dirs[len(v) + k] += t
         want = _antipodes_pairwise(dirs, tol)
-        close, got = direction_pairs(dirs, tol)
+        close, got = direction_pairs(dirs)
         assert (got is None) == (want is None) == (factor > 1.0)
         if want is not None:
             np.testing.assert_array_equal(got, want)
@@ -293,7 +322,7 @@ def test_kd_tree_queries_match_pairwise_arrays(seed, dim):
             np.testing.assert_array_equal(mu.antipode, want)
         assert not close and not _close_pair_pairwise(dirs, tol)
         twins = np.vstack([dirs, dirs[k] + t])
-        close, _ = direction_pairs(twins, tol)
+        close, _ = direction_pairs(twins)
         assert close == _close_pair_pairwise(twins, tol) == (factor < 1.0)
         if factor < 1.0:
             with pytest.raises(GeometryError, match="pairwise distinct"):
@@ -342,12 +371,16 @@ def test_point_matchers_match_pairwise_arrays(seed, dim):
 
 
 def test_matchers_include_points_exactly_tol_away():
+    # b is SAME_DIRECTION from a, c one float farther
+    assert SAME_DIRECTION == 1e-9
     a, b = np.array([[0.0, 0.0]]), np.array([[1e-9, 0.0]])
-    np.testing.assert_array_equal(match_directions(a, b, 1e-9), [0])
-    np.testing.assert_array_equal(match_directions(b, a, 1e-9), [0])
+    c = np.array([[np.nextafter(1e-9, np.inf), 0.0]])
+    np.testing.assert_array_equal(match_directions(a, b), [0])
+    np.testing.assert_array_equal(match_directions(b, a), [0])
     assert len(_merge_points(np.vstack([a, b]), 1e-9)) == 1
-    np.testing.assert_array_equal(match_directions(a, b, np.nextafter(1e-9, 0.0)), [-1])
-    assert len(_merge_points(np.vstack([a, b]), np.nextafter(1e-9, 0.0))) == 2
+    np.testing.assert_array_equal(match_directions(a, c), [-1])
+    np.testing.assert_array_equal(match_directions(c, a), [-1])
+    assert len(_merge_points(np.vstack([a, c]), 1e-9)) == 2
     # greedy: an absorbed point absorbs nothing, so the chain's third point,
     # within tol of the second only, is kept
     chain = np.array([[0.0, 0.0], [6e-10, 0.0], [1.2e-9, 0.0]])
@@ -357,9 +390,9 @@ def test_matchers_include_points_exactly_tol_away():
 def test_match_directions_picks_the_nearest_within_tol():
     b = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     a = np.array([[0.0, 1.0 + 4e-10], [1e-10, 1.0], [0.6, 0.8], [-1.0, 3e-10]])
-    np.testing.assert_array_equal(match_directions(a, b, 1e-9), [1, 1, -1, 2])
-    np.testing.assert_array_equal(match_directions(a, b[:0], 1e-9), [-1] * 4)
-    assert match_directions(a[:0], b, 1e-9).shape == (0,)
+    np.testing.assert_array_equal(match_directions(a, b), [1, 1, -1, 2])
+    np.testing.assert_array_equal(match_directions(a, b[:0]), [-1] * 4)
+    assert match_directions(a[:0], b).shape == (0,)
 
 
 def test_vpolytope_refuses_non_finite_points():

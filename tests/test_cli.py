@@ -325,13 +325,13 @@ def test_malformed_files_exit_2(runner, tmp_path, command, payload):
 
 
 def test_valuation_suite_evaluates_each_measure_once(monkeypatch):
-    # four dual curvature measures per index (K, L, their intersection and
-    # their hull), the scale read off K's
+    # four atom evaluations per index (K, L, their intersection and their
+    # hull); the scale reads K's memoized atoms
     from dualcurve import cli, measures
 
     calls = []
-    evaluate = measures.dual_curvature
-    monkeypatch.setattr(measures, "dual_curvature",
+    evaluate = measures._atoms_of
+    monkeypatch.setattr(measures, "_atoms_of",
                         lambda body, q: calls.append(q) or evaluate(body, q))
     qs = (0.5, 1.0, 2.0, 3.0)
     checks = cli._suite_valuation(cube(), qs, np.random.default_rng(5))

@@ -22,6 +22,7 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        lp_surface_area_measure, measure_l1,
                        measure_max_discrepancy, surface_area_measure,
                        unit_ball_volume, valuation_check)
+from dualcurve.body_core import SAME_DIRECTION
 from dualcurve.gauss_maps import cone_partition, fan_rows
 from dualcurve.measures import _atom_jacobian, _atoms
 
@@ -139,12 +140,11 @@ def test_cube_corner_cut_shorter_than_old_incidence_slack():
     p = HPolytope(normals, np.r_[np.ones(6), (3.0 - 4.24e-9) / math.sqrt(3)])
     for i in range(3):
         assert len(p.facet_vertices(i)) == 5
-    cells = cone_partition(p)
     assert [len(p.facet_vertices(i)) for i in range(6)] == [5, 5, 5, 4, 4, 4]
     mu0 = dual_curvature_q0(p)
     assert mu0.total == pytest.approx(unit_ball_volume(3), rel=1e-12)
     atom = dual_curvature(p, 1.5).weights[0]
-    assert dual_area(p, 1.5, region=cells[0]) == pytest.approx(atom, rel=1e-8)
+    assert dual_area(p, 1.5)[0] == pytest.approx(atom, rel=1e-8)
     # the cut takes off a corner of volume about 1e-26
     assert p.volume() == pytest.approx(8.0, rel=1e-14)
 
@@ -367,12 +367,11 @@ def test_dual_area_cell_equals_atom():
         for body, q in itertools.product((thin, _off_centre(r, dim), _many_facets(r, dim)),
                                          (-6.0, 0.5, 2.0, 12.0)):
             mu = dual_curvature(body, q)
-            cells = cone_partition(body)
-            for cell in cells:
-                got = dual_area(body, q, region=cell)
-                assert abs(got - mu.weights[cell.facet_index]) <= 1e-9 * mu.total
-            assert dual_area(body, q, region=cells) == pytest.approx(mu.total, rel=1e-9)
-            assert dual_area(body, q) == pytest.approx(mu.total, rel=1e-9)
+            cells = dual_area(body, q)
+            assert cells.shape == mu.weights.shape
+            assert np.abs(cells - mu.weights).max() <= 1e-9 * mu.total
+            assert cells.sum() == pytest.approx(mu.total, rel=1e-9)
+            assert dual_quermassintegral(body, q).value == pytest.approx(mu.total, rel=1e-9)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -391,13 +390,10 @@ def test_one_sphere_rule_per_call(monkeypatch, dim):
     else:
         p = random_symmetric_polytope(np.random.default_rng(3), pairs=12, require_all_active=False)
     assert len(fan_rows(p)[0]) > 64
-    cells = cone_partition(p)
     results = {}
     for q in (0.0, 0.5, 2.0, float(dim)):
         results[q] = dual_quermassintegral(p, q)
         dual_area(p, q)
-        dual_area(p, q, cells[0])
-        dual_area(p, q, cells)
     dual_steiner_check(p, np.linspace(0.1, 1.0, 8))
     assert (len(rules), built) == (1, [quadrature.FAN_NODES])
     for _ in range(2):
@@ -414,7 +410,7 @@ def _memo_values(P):
     out = [dual_curvature_q0(P).weights, dual_steiner_check(P, np.linspace(0.1, 1.0, 5))]
     for q in (0.5, 2.0, float(P.dim)):
         r = dual_quermassintegral(P, q)
-        out += [_atoms(P, q), np.array([r.value, r.normalized, r.error, dual_area(P, q, cone_partition(P)[0])])]
+        out += [_atoms(P, q), np.array([r.value, r.normalized, r.error, dual_area(P, q)[0]])]
     return [a.tobytes() for a in out]
 
 
@@ -456,8 +452,7 @@ def test_memo_hits_equal_first_evaluation(dim):
 def test_dual_area_2d_cell():
     s = cube(dim=2)
     mu = dual_curvature(s, 0.5)
-    cells = cone_partition(s)
-    got = dual_area(s, 0.5, region=cells[1])
+    got = dual_area(s, 0.5)[1]
     assert got == pytest.approx(mu.weights[1], rel=1e-10)
 
 
@@ -490,8 +485,7 @@ def test_dual_area_2d_cells_of_a_thin_rectangle(q):
     lo, hi = THIN_RECTANGLES["off-centre"]
     s = axis_box(lo, hi)
     want = _arc_reference(lo, hi, q)
-    for cell in cone_partition(s):
-        assert dual_area(s, q, region=cell) == pytest.approx(want[cell.facet_index], rel=1e-8)
+    np.testing.assert_allclose(dual_area(s, q), want, rtol=1e-8)
 
 
 @pytest.mark.parametrize("q", [-6.0, 0.5, 12.0])
@@ -704,7 +698,7 @@ def _nudge(rng, v, factor, tol):
 @pytest.mark.parametrize("seed", range(8))
 def test_measure_comparisons_match_loop_references(seed, dim):
     rng = np.random.default_rng(seed)
-    tol = 1e-9
+    tol = SAME_DIRECTION
     m = int(rng.integers(3, 50))
     v = rng.normal(size=(m, dim))
     v /= np.linalg.norm(v, axis=1)[:, None]
@@ -720,12 +714,12 @@ def test_measure_comparisons_match_loop_references(seed, dim):
         b = DiscreteSphericalMeasure(w, rng.uniform(0.1, 1.0, size=len(w)))
         for mu, other in ((a, b), (b, a)):
             for d in np.vstack([v, w]):
-                assert mu.weight_at(d, tol) == _weight_at_pairwise(mu, d, tol)
-            assert measure_max_discrepancy(mu, other, tol) == _max_discrepancy_pairwise(mu, other, tol)
+                assert mu.weight_at(d) == _weight_at_pairwise(mu, d, tol)
+            assert measure_max_discrepancy(mu, other) == _max_discrepancy_pairwise(mu, other, tol)
             # the sums run in another order
-            assert measure_l1(mu, other, tol) == pytest.approx(_l1_pairwise(mu, other, tol),
-                                                               rel=1e-15, abs=0.0)
-        moved = abs(a.weight_at(w[len(shared)], tol) - a.weights[k])
+            assert measure_l1(mu, other) == pytest.approx(_l1_pairwise(mu, other, tol),
+                                                          rel=1e-15, abs=0.0)
+        moved = abs(a.weight_at(w[len(shared)]) - a.weights[k])
         assert (moved == 0.0) == (factor < 1.0)
 
 
@@ -733,7 +727,7 @@ def test_measure_comparisons_match_loop_references(seed, dim):
 @pytest.mark.parametrize("seed", range(6))
 def test_set_operations_match_loop_references(seed, dim):
     rng = np.random.default_rng(seed)
-    tol = 1e-9
+    tol = SAME_DIRECTION
     K = random_symmetric_polytope(rng, dim=dim, pairs=dim + 2)
     for factor in (1.0 - 1e-3, 1.0 + 1e-3):
         # L is K with facet k turned by just inside or just outside tol and
@@ -743,13 +737,13 @@ def test_set_operations_match_loop_references(seed, dim):
         normals[k] = _nudge(rng, normals[k], factor, tol)
         offsets[k] *= 0.5
         L = HPolytope(normals, offsets)
-        inter = intersect_hpolytopes(K, L, tol)
+        inter = intersect_hpolytopes(K, L)
         want = _intersect_pairwise(K, L, tol)
         np.testing.assert_array_equal(inter.normals, want[0])
         np.testing.assert_array_equal(inter.offsets, want[1])
         assert len(inter.normals) == len(K.normals) + (factor > 1.0)
         for q in (0.5, 2.0, float(dim)):
-            assert valuation_check(K, L, q, tol) == _valuation_pairwise(K, L, q, tol)
+            assert valuation_check(K, L, q) == _valuation_pairwise(K, L, q, tol)
 
 
 # builds a VPolytope of 20000 points and compares two 4000-atom measures
@@ -867,7 +861,7 @@ def _thin_rectangle(r):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([_off_centre, _many_facets, _thin_rectangle]))
 def test_cell_solid_angles_match_lhuilier(seed, make_body):
     body = make_body(np.random.default_rng(seed))
-    got = np.array([c.solid_angle() for c in cone_partition(body)])
+    got = cone_partition(body)
     assert np.abs(got - lhuilier_solid_angles(body)).max() <= 1e-13 * unit_ball_volume(body.dim)
     assert got.sum() == pytest.approx(2 * PI if body.dim == 2 else 4 * PI, rel=1e-13)
 
@@ -887,7 +881,7 @@ def test_thin_box_cell_solid_angles_match_closed_form(seed):
         for d in (hi[k], -lo[k]):
             f = lambda x, y: math.atan(x * y / (d * math.hypot(d, x, y)))
             want.append(f(hi[i], hi[j]) - f(lo[i], hi[j]) - f(hi[i], lo[j]) + f(lo[i], lo[j]))
-    got = [c.solid_angle() for c in cone_partition(body)]
+    got = cone_partition(body)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * unit_ball_volume(3))
 
 
