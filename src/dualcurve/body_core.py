@@ -463,12 +463,10 @@ class VPolytope(_Polytope):
 
 
 class SmoothBody(_Body):
-    kind = "smooth"
+    """A body with a C^2 support function and a curvature_det map."""
 
 
 class Ball(SmoothBody):
-    kind = "ball"
-
     def __init__(self, radius, dim=3):
         if radius <= 0:
             raise GeometryError("radius must be positive")
@@ -488,8 +486,9 @@ class Ball(SmoothBody):
         return self.radius * self._direction(v)
 
     def curvature_det(self, v):
-        """det(h_ij + h delta_ij) at v."""
-        return self.radius ** (self.dim - 1)
+        """det(h_ij + h delta_ij), radius^(n-1), at one unit direction (a
+        float) or along the rows of a (k, n) batch."""
+        return np.full(self._direction(v).shape[:-1], self.radius ** (self.dim - 1))[()]
 
     def __repr__(self):
         return f"Ball(radius={self.radius}, dim={self.dim})"
@@ -497,8 +496,6 @@ class Ball(SmoothBody):
 
 class Ellipsoid(SmoothBody):
     """Axis-aligned ellipsoid sum_i x_i^2/a_i^2 <= 1."""
-
-    kind = "ellipsoid"
 
     def __init__(self, axes):
         axes = np.asarray(axes, float)

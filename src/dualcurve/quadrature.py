@@ -10,7 +10,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .body_core import GeometryError, cross, require_dim
 
@@ -24,7 +23,7 @@ def unit_ball_volume(n):
 def _legendre(m):
     """Gauss-Legendre nodes and weights on [-1, 1], built once per size and
     shared read-only."""
-    x, w = roots_legendre(m)
+    x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -194,7 +193,7 @@ def _panel_places(n_nodes, n_panels):
     """Places in [0, 1] of n_nodes Gauss nodes on each of n_panels equal
     panels, with their Gauss weights, built once per size and shared
     read-only."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
+    gl_x, gl_w = _legendre(n_nodes)
     offs = (np.arange(n_panels)[:, None] + 0.5 * (gl_x[None, :] + 1.0)).ravel() / n_panels
     gw = np.tile(gl_w, n_panels)
     offs.flags.writeable = gw.flags.writeable = False

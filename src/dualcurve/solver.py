@@ -8,9 +8,9 @@ measure is mu.  The solution maximizes
 
 over Wulff shapes on mu's support directions, after a subspace-mass
 feasibility check, by Newton steps with an analytic Jacobian,
-log-mismatch fallback: one unknown per antipodal pair of log offsets, the
-Hessian of Phi from the atom Jacobian (measures._atom_jacobian), and an
-Armijo search on Phi.  A typical solve at tol 1e-6 takes 2-4 iterations
+log-mismatch fallback: one unknown per atom (its log offset), each Newton
+step one dense solve with the atom Jacobian (measures._atom_jacobian), and
+an Armijo search on Phi.  A typical solve at tol 1e-6 takes 2-4 iterations
 with 6-48 atoms, and up to about 15 when a step empties a facet and the
 fallback brings it back.  The functional is scale invariant; the maximizer
 is rescaled at the end so the measure totals match.
@@ -211,27 +211,26 @@ def _as_wulff_on(K, mu):
     return wulff_shape(mu.dirs, K.support(mu.dirs))
 
 
-def _newton_direction(body, q, atoms, grad, reps, mates):
-    """The least-squares Newton step of Phi in the pair unknowns, as a
-    direction in the log offsets, or None when it is not usable.
+def _newton_direction(body, q, atoms, grad):
+    """The Newton step of Phi in the log offsets, one unknown per atom, or
+    None when it is not usable.
 
-    Pair k holds the log offsets reps[k] and mates[k]; the reduced Hessian
-    and gradient add the rows and columns of each pair.  The Hessian of Phi
-    is J/W - q a a^T/W^2 with J the atom Jacobian and W the sum of the
-    atoms; it is singular along the scale direction, hence least squares.
-    An empty facet has a zero Jacobian row, so no Newton step can bring it
-    back: that, and a direction that does not ascend, leave the step to the
-    log-mismatch fallback.
+    The Hessian of Phi is H = J/W - q a a^T/W^2, with J the atom Jacobian
+    and W the sum of the atoms a.  J is symmetric with J 1 = q a, and grad
+    sums to 0, so d = -W J^-1 grad has a . d = 0 and H d = -grad: one solve
+    with J, no rank-one term.  Phi is flat along 1 (H 1 = 0), so removing
+    the mean changes neither H d nor grad . d and keeps d off the scale
+    direction.  An empty facet has a zero row of J, so no Newton step can
+    bring it back: that, a singular J and a direction that does not ascend
+    leave the step to the log-mismatch fallback.
     """
     if not (atoms > 0).all():
         return None
-    w = float(atoms.sum())
-    hess = _atom_jacobian(body, q, atoms) / w - q * np.outer(atoms, atoms) / w**2
-    hess = hess[reps] + hess[mates]
-    step, *_ = np.linalg.lstsq(hess[:, reps] + hess[:, mates], -(grad[reps] + grad[mates]),
-                               rcond=None)
-    d = np.empty(len(atoms))
-    d[reps] = d[mates] = step
+    try:
+        d = -float(atoms.sum()) * np.linalg.solve(_atom_jacobian(body, q, atoms), grad)
+    except np.linalg.LinAlgError:
+        return None
+    d -= d.mean()
     if not (np.isfinite(d).all() and grad @ d > 0):
         return None
     return d
@@ -241,9 +240,10 @@ def solve_dual_minkowski(mu, cfg):
     """Newton steps with an analytic Jacobian, log-mismatch fallback.
 
     Each iteration takes one direction in the log offsets, one unknown per
-    antipodal pair: the Newton step of Phi when every atom is positive and
-    that step ascends, else the log-mismatch direction, which also brings
-    an empty facet back.  An Armijo search on Phi picks the step length.
+    atom: the Newton step of Phi when every atom is positive and that step
+    ascends, else the log-mismatch direction averaged over antipodal pairs,
+    which also brings an empty facet back.  An Armijo search on Phi picks
+    the step length.
     Returns a SolverReport; report.body carries the rescaled solution with
     its dual curvature measure matching mu within report.residual (L1,
     normalized by |mu|).  Infeasible data short-circuits with
@@ -265,9 +265,6 @@ def solve_dual_minkowski(mu, cfg):
     omega = unit_ball_volume(n)
 
     base = wulff_shape(dirs, np.ones(len(dirs)))
-    # one unknown per antipodal pair: the lower index and its mate
-    reps = np.flatnonzero(np.arange(len(dirs)) < mu.antipode)
-    mates = mu.antipode[reps]
 
     def phi_from_atoms(x_full, atoms):
         w = float(atoms.sum())
@@ -296,7 +293,7 @@ def solve_dual_minkowski(mu, cfg):
         if len(direction_trace) == cfg.max_iter:
             stop_reason = MAX_ITER
             break
-        d = _newton_direction(body, q, atoms, grad, reps, mates)
+        d = _newton_direction(body, q, atoms, grad)
         if d is not None:
             direction_trace.append("newton")
             # a Newton step has its natural length: try the full step first

@@ -10,7 +10,7 @@ from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
                        GeometryError, HPolytope, VPolytope, body_from_dict,
                        convex_hull_of_radial, dual_curvature, polar,
                        sphere_rule, wulff_polar_identity_check, wulff_shape)
-from dualcurve.body_core import (SAME_DIRECTION, _hausdorff, _merge_points,
+from dualcurve.body_core import (SAME_DIRECTION, SmoothBody, _hausdorff, _merge_points,
                                  direction_pairs, match_directions)
 
 from conftest import axis_box, cube, random_symmetric_polytope
@@ -51,7 +51,10 @@ def test_no_public_name_takes_a_tolerance():
                          ids=["hpolytope", "vpolytope", "ball", "ellipsoid"])
 def test_maps_refuse_directions_of_another_dimension(make):
     body = make()
-    for f in (body.support, body.radial):
+    maps = [body.support, body.radial]
+    if isinstance(body, SmoothBody):
+        maps.append(body.curvature_det)
+    for f in maps:
         for u in ([1.0, 0.0], [[1.0, 0.0]] * 2, [0.5, 0.5, 0.5, 0.5], 1.0):
             with pytest.raises(GeometryError, match="3 coordinates"):
                 f(u)
@@ -256,7 +259,11 @@ def test_ellipsoid_curvature_det_against_ball():
     e = Ellipsoid(np.array([2.0, 2.0, 2.0]))
     b = Ball(2.0, 3)
     for v in np.eye(3):
+        assert isinstance(b.curvature_det(v), float)
         assert e.curvature_det(v) == pytest.approx(b.curvature_det(v))
+    # a batch of k directions gives k values on both
+    assert b.curvature_det(np.eye(3)).shape == (3,)
+    np.testing.assert_allclose(e.curvature_det(np.eye(3)), b.curvature_det(np.eye(3)))
 
 
 def test_json_round_trip_exact():

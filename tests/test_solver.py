@@ -380,9 +380,9 @@ def test_empty_facet_mid_solve_takes_the_fallback(monkeypatch):
     empty = []
     newton = solver._newton_direction
 
-    def spy(body, q, atoms, grad, *rest):
+    def spy(body, q, atoms, grad):
         empty.append(not (atoms > 0).all())
-        return newton(body, q, atoms, grad, *rest)
+        return newton(body, q, atoms, grad)
 
     monkeypatch.setattr(solver, "_newton_direction", spy)
     rep = solve_dual_minkowski(mu, SolverConfig(q=1.0, tol=1e-6))
@@ -412,48 +412,55 @@ def test_stop_reasons():
 
 def _pair_matrix(antipode):
     """The dense m x r 0/1 matrix taking one unknown per antipodal pair to
-    the m log offsets: the oracle for the solver's pair index fold."""
+    the m log offsets: the oracle's pair fold."""
     reps = np.flatnonzero(np.arange(len(antipode)) < antipode)
     pair = np.empty(len(antipode), dtype=int)
     pair[reps] = pair[antipode[reps]] = np.arange(len(reps))
     return np.eye(len(reps))[pair]
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, "n"])
 @pytest.mark.parametrize("dim, pairs", [(2, 5), (3, 6), (3, 10)])
-def test_pair_index_fold_equals_dense_pair_matrix(monkeypatch, dim, pairs):
+def test_newton_step_equals_folded_lstsq_step(dim, pairs, q):
+    q = float(dim) if q == "n" else q
     rng = np.random.default_rng(dim * pairs)
     p = random_symmetric_polytope(rng, dim=dim, pairs=pairs)
     # shuffled halfspaces, so a pair is not (i, i + r)
     order = rng.permutation(len(p.normals))
     p = HPolytope(p.normals[order], p.offsets[order])
-    q = 1.5
     atoms = _atoms(p, q)
-    gamma = rng.uniform(1.0, 1.3, size=pairs)[np.arange(2 * pairs) % pairs]
+    gamma = rng.uniform(1.0, 1.3, size=len(atoms))
+    gamma += gamma[p.antipode]
     grad = atoms / atoms.sum() - gamma / gamma.sum()
-    reps = np.flatnonzero(np.arange(len(atoms)) < p.antipode)
-    mates = p.antipode[reps]
-    seen = []
-    lstsq = np.linalg.lstsq
-
-    def spy(a, b, rcond=None):
-        seen.append((a, b))
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
-    d = solver._newton_direction(p, q, atoms, grad, reps, mates)
-    monkeypatch.undo()
-    w = float(atoms.sum())
-    hess = _atom_jacobian(p, q, atoms) / w - q * np.outer(atoms, atoms) / w**2
-    pmat = _pair_matrix(p.antipode)
-    (a, b), = seen
-    np.testing.assert_array_equal(a, pmat.T @ hess @ pmat)
-    np.testing.assert_array_equal(b, -(pmat.T @ grad))
-    step, *_ = lstsq(pmat.T @ hess @ pmat, -(pmat.T @ grad), rcond=None)
+    d = solver._newton_direction(p, q, atoms, grad)
     assert d is not None
-    np.testing.assert_array_equal(d, pmat @ step)
+    # the oracle: the full Hessian with its rank-one term, folded by pairs
+    # and solved by least squares
+    w = float(atoms.sum())
+    jac = _atom_jacobian(p, q, atoms)
+    hess = jac / w - q * np.outer(atoms, atoms) / w**2
+    pmat = _pair_matrix(p.antipode)
+    step, *_ = np.linalg.lstsq(pmat.T @ hess @ pmat, -(pmat.T @ grad), rcond=None)
+    oracle = pmat @ step
+    oracle -= oracle.mean()
+    assert np.abs(d - oracle).max() <= 1e-10 * np.abs(oracle).max()
+    # why no rank-one term: -W J^-1 grad is orthogonal to the atoms, and
+    # with its mean removed it still solves the Newton system
+    plain = -w * np.linalg.solve(jac, grad)
+    assert abs(atoms @ plain) <= 1e-12 * np.abs(atoms) @ np.abs(plain)
+    np.testing.assert_allclose(hess @ d, -grad, rtol=0, atol=1e-12 * np.abs(grad).max())
     fallback = rng.normal(size=len(atoms))
     np.testing.assert_array_equal(0.5 * (fallback + fallback[p.antipode]),
                                   pmat @ (0.5 * (pmat.T @ fallback)))
+
+
+def test_singular_jacobian_leaves_the_step_to_the_fallback(monkeypatch):
+    p = cube()
+    atoms = _atoms(p, 1.0)
+    grad = atoms / atoms.sum() - np.array([2.0, 1, 1, 2, 1, 1]) / 8.0
+    assert solver._newton_direction(p, 1.0, atoms, grad) is not None
+    monkeypatch.setattr(solver, "_atom_jacobian", lambda *args: np.zeros((6, 6)))
+    assert solver._newton_direction(p, 1.0, atoms, grad) is None
 
 
 def _lopsided_axes_measure():
@@ -462,7 +469,7 @@ def _lopsided_axes_measure():
 
 
 def test_line_search_stalls_below_phi_rounding():
-    # at tol 1e-16 the residual (about 4e-16) never gets there: once Phi
+    # at tol 1e-16 the residual (about 5e-16) never gets there: once Phi
     # moves by its rounding only, every trial fails and the search stalls
     rep = solve_dual_minkowski(_lopsided_axes_measure(), SolverConfig(q=1.0, tol=1e-16))
     assert rep.stop_reason == "line_search_stalled"
@@ -486,5 +493,5 @@ def test_cli_solve_exits_4_on_a_stalled_line_search(tmp_path):
     summary = json.loads(res.stdout)
     assert summary["stop_reason"] == "line_search_stalled"
     rows = trace.read_text().splitlines()[1:]
-    assert len(rows) == summary["iterations"] == 8
+    assert len(rows) == summary["iterations"] == 7
     assert rows[-1].split(",")[3] == "0"
