@@ -11,8 +11,7 @@ from .measures import (DiscreteSphericalMeasure, cone_volume_measure,
                        intersect_hpolytopes, lp_surface_area_measure,
                        measure_l1, measure_max_discrepancy,
                        surface_area_measure, valuation_check)
-from .quadrature import (sphere_area, sphere_rule, spherical_polygon_rule,
-                         unit_ball_volume)
+from .quadrature import sphere_rule, spherical_polygon_rule, unit_ball_volume
 from .solver import (FeasibilityResult, SolverConfig, SolverReport,
                      check_subspace_mass, phi_mu, phi_gradient,
                      solve_dual_minkowski)
@@ -61,7 +60,6 @@ __all__ = [
     "radial_gauss",
     "reverse_radial_gauss_smooth",
     "solve_dual_minkowski",
-    "sphere_area",
     "sphere_rule",
     "spherical_polygon_rule",
     "surface_area_measure",

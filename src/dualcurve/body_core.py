@@ -138,14 +138,18 @@ def _merge_simplices(hull, keys, tol):
     """Label the hull's simplices 0, 1, ... so that neighbours whose key rows
     agree within tol share a label: the pieces Qhull triangulates one facet
     into, or facets closer than tol.  Returns the labels and the first
-    simplex of each label."""
+    simplex of each label: both arange(k) on a hull with no such
+    neighbours, without the merge sweep."""
     k, n = hull.neighbors.shape
     s = np.repeat(np.arange(k), n)
     t = hull.neighbors.ravel()
     same = np.linalg.norm(keys[s] - keys[t], axis=1) <= tol
+    low = np.arange(k)
+    if not same.any():
+        # a simplicial hull: each simplex is its own piece
+        return low, low
     s, t = s[same], t[same]
     # spread the lowest simplex index through each run of merged neighbours
-    low = np.arange(k)
     while True:
         spread = low.copy()
         np.minimum.at(spread, s, low[t])

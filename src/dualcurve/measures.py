@@ -77,10 +77,6 @@ class DiscreteSphericalMeasure:
     def total(self):
         return float(self.weights.sum())
 
-    def weight_at(self, v):
-        """Atom weight at direction v (0 if no atom has that direction)."""
-        return float(self._weights_at(as_direction(v)[None, :])[0])
-
     def _weights_at(self, dirs):
         """Weight of the atom at each row's direction (0 where no atom has
         it), matched by body_core.match_directions."""

@@ -29,11 +29,6 @@ def _legendre(m):
     return x, w
 
 
-def sphere_area(n):
-    """Surface area of the unit sphere in R^n (= n * ball volume)."""
-    return n * unit_ball_volume(n)
-
-
 class SphereQuadrature:
     """Nodes on the unit sphere with surface-measure weights.
 

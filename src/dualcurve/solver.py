@@ -7,13 +7,17 @@ measure is mu.  The solution maximizes
     Phi(K) = -(1/|mu|) sum gamma_i log h_K(v_i) + log Vbar_q(K)
 
 over Wulff shapes on mu's support directions, after a subspace-mass
-feasibility check, by Newton steps with an analytic Jacobian,
-log-mismatch fallback: one unknown per atom (its log offset), each Newton
-step one dense solve with the atom Jacobian (measures._atom_jacobian), and
-an Armijo search on Phi.  A typical solve at tol 1e-6 takes 2-4 iterations
-with 6-48 atoms, and up to about 15 when a step empties a facet and the
-fallback brings it back.  The functional is scale invariant; the maximizer
-is rescaled at the end so the measure totals match.
+feasibility check (one test of every atom against the normal of each
+hyperplane, and in 3-d the direction of each line, that atom directions
+span), by Newton steps with an analytic Jacobian, log-mismatch fallback:
+one unknown per atom (its log offset), each Newton step one dense solve
+with the atom Jacobian (measures._atom_jacobian), and an Armijo search on
+Phi.  A typical solve at tol 1e-6 takes 2-4 iterations with 6-48 atoms,
+and up to about 15 when a step empties a facet and the fallback brings it
+back.  A solve evaluates the atoms of the start and of one body per
+line-search trial, and nothing more: the functional is scale invariant,
+and the maximizer is rescaled at the end so the measure totals match,
+with the last iterate's residual, as the atoms are homogeneous of degree q.
 """
 
 import itertools
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from .body_core import SAME_DIRECTION, GeometryError, HPolytope, wulff_shape
+from .body_core import SAME_DIRECTION, GeometryError, HPolytope, cross, wulff_shape
 from .measures import (DiscreteSphericalMeasure, _atom_jacobian, _atoms,
                        dual_quermassintegral)
 from .quadrature import unit_ball_volume
@@ -93,9 +97,10 @@ class SolverReport:
     of them, and direction_trace names each.  residual_trace holds the
     residual at each iterate, phi_trace Phi at each accepted iterate, and
     step_trace the step length of each iteration (0 for a stalled one).
-    evaluations counts atom evaluations (the start, every line-search
-    trial and the rescaled result), rejected_trials the trials the Armijo
-    test refused.
+    evaluations counts atom evaluations (the start and every line-search
+    trial), rejected_trials the trials the Armijo test refused.  residual
+    is the last iterate's residual_trace entry: the atoms are homogeneous
+    of degree q, so rescaling the body leaves it as it is.
     """
 
     def __init__(self, body, residual, stop_reason, phi_trace=(), residual_trace=(),
@@ -129,9 +134,14 @@ def check_subspace_mass(mu, q):
     (strictly less than) 1 - (n-d)/((n-1) q') of the total mass, where
     q' = q/(q-1); for q in (0, 1) only full concentration on a proper
     subspace is excluded.  The supremum over subspaces is attained on
-    spans of atom directions, so subsets of size <= n-1 are enumerated
-    exhaustively, all subsets of one size in one batched QR and residual
-    mask over the atoms.
+    spans of atom directions, so subsets of size <= n-1 of the antipodal
+    pairs are enumerated exhaustively.  A hyperplane is tested through its
+    normal N (a x b in 3-d, a turned by 90 degrees in 2-d): atom v lies in
+    it when |N . v| <= SAME_DIRECTION |N|, and a pair with |N| <= 1e-10
+    spans no hyperplane.  A line through a in 3-d holds v when
+    |a x v| <= SAME_DIRECTION.  Each subspace's mass is summed atom by
+    atom, in order, so near-ties resolve as one membership test per atom
+    would; only the worst subspace gets an orthonormal basis (one QR).
     """
     if not isinstance(mu, DiscreteSphericalMeasure):
         raise GeometryError("expected a DiscreteSphericalMeasure")
@@ -149,24 +159,38 @@ def check_subspace_mass(mu, q):
         bound = _mass_bound(n, d, q)
         if math.isinf(bound):
             continue
-        subsets = list(itertools.combinations(reps, d))
-        if not subsets:
+        subsets = np.array(list(itertools.combinations(reps, d)), dtype=int).reshape(-1, d)
+        mass, spans = _span_masses(mu, subsets)
+        if not spans.any():
             continue
-        bases = mu.dirs[np.array(subsets)]
-        bases = bases[np.linalg.matrix_rank(bases, tol=1e-10) == d]
-        if not len(bases):
-            continue
-        frames, _ = np.linalg.qr(np.swapaxes(bases, 1, 2))
-        resid = mu.dirs - (mu.dirs @ frames) @ np.swapaxes(frames, 1, 2)
-        inside = np.linalg.norm(resid, axis=2) <= SAME_DIRECTION
-        # summed atom by atom, in order, so near-ties resolve as one
-        # membership test per atom would
-        ratio = np.cumsum(np.where(inside, mu.weights, 0.0), axis=1)[:, -1] / total
+        subsets, ratio = subsets[spans], mass[spans] / total
         s = int(np.argmin(bound - ratio))
         if bound - ratio[s] < worst.bound - worst.ratio:
-            worst = FeasibilityResult(ratio[s] < bound - 1e-12, ratio[s], bound,
-                                      frames[s].T.copy())
+            basis = np.linalg.qr(mu.dirs[subsets[s]].T)[0].T.copy()
+            worst = FeasibilityResult(ratio[s] < bound - 1e-12, ratio[s], bound, basis)
     return worst
+
+
+def _span_masses(mu, subsets):
+    """The mass of mu in the span of each row of subsets (the indices of d
+    atom directions, d = 1 or n - 1), each summed atom by atom in order,
+    and whether the row spans d dimensions."""
+    dirs = mu.dirs
+    n = dirs.shape[1]
+    a = dirs[subsets[:, 0]]
+    if subsets.shape[1] == n - 1:
+        normal = cross(a, dirs[subsets[:, 1]]) if n == 3 else np.stack([-a[:, 1], a[:, 0]], axis=1)
+        size = np.linalg.norm(normal, axis=1)
+        inside = np.abs(normal @ dirs.T) <= SAME_DIRECTION * size[:, None]
+        spans = size > 1e-10
+    else:
+        # a line in 3-d: v's distance from the line through a is |a x v|
+        k, m = len(a), len(dirs)
+        off = cross(np.repeat(a, m, axis=0), np.tile(dirs, (k, 1)))
+        inside = (np.linalg.norm(off, axis=1) <= SAME_DIRECTION).reshape(k, m)
+        spans = np.ones(k, dtype=bool)
+    mass = inside * mu.weights
+    return np.cumsum(mass, axis=1, out=mass)[:, -1].copy(), spans
 
 
 def _mass_bound(n, d, q):
@@ -337,11 +361,10 @@ def solve_dual_minkowski(mu, cfg):
         step_trace.append(step)
         last_step = step
 
-    # rescale so the measure totals match: the atoms scale with degree q
+    # rescale so the measure totals match: the atoms are homogeneous of
+    # degree q, so the rescaled body's residual is the last iterate's
     lam = (total / float(atoms.sum())) ** (1.0 / q)
     final = body.with_offsets(body.offsets * lam)
-    final_atoms = _atoms(final, q)
-    residual = float(np.abs(final_atoms - gamma).sum()) / total
-    return SolverReport(final, residual, stop_reason, phi_trace, residual_trace,
-                        step_trace, direction_trace, evaluations=trials + 2,
+    return SolverReport(final, residual_trace[-1], stop_reason, phi_trace, residual_trace,
+                        step_trace, direction_trace, evaluations=trials + 1,
                         rejected_trials=trials - (len(phi_trace) - 1))

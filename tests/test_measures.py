@@ -567,7 +567,7 @@ def test_measure_comparisons_across_dimensions_refused(compare):
         with pytest.raises(GeometryError, match="cannot match"):
             compare(x, y)
     with pytest.raises(GeometryError, match="cannot match"):
-        b.weight_at(np.array([1.0, 0, 0]))
+        b._weights_at(np.array([[1.0, 0, 0]]))
 
 
 def test_measure_even_detection():
@@ -614,14 +614,11 @@ def test_measure_distances():
     b = DiscreteSphericalMeasure(d2, np.array([1.0, 3.0]))
     assert measure_max_discrepancy(a, b) == pytest.approx(3.0)
     assert measure_l1(a, b) == pytest.approx(5.0)
-    assert a.weight_at(np.array([1.0, 0])) == pytest.approx(1.0)
-    assert a.weight_at(np.array([0.0, 1.0])) == 0.0
-    with pytest.raises(GeometryError, match="expected 1"):
-        a.weight_at(np.array([np.nan, 0.0]))
+    np.testing.assert_array_equal(a._weights_at(np.array([[1.0, 0], [0.0, 1.0]])), [1.0, 0.0])
 
 
 def _weight_at_pairwise(mu, v, tol):
-    """The loop reference for weight_at: the nearest atom, if within tol."""
+    """The loop reference for _weights_at: the nearest atom, if within tol."""
     d = np.linalg.norm(mu.dirs - v, axis=1)
     j = int(np.argmin(d))
     return float(mu.weights[j]) if d[j] <= tol else 0.0
@@ -713,13 +710,14 @@ def test_measure_comparisons_match_loop_references(seed, dim):
         w = np.vstack([v[shared], _nudge(rng, v[k], factor, tol)[None, :], fresh])
         b = DiscreteSphericalMeasure(w, rng.uniform(0.1, 1.0, size=len(w)))
         for mu, other in ((a, b), (b, a)):
-            for d in np.vstack([v, w]):
-                assert mu.weight_at(d) == _weight_at_pairwise(mu, d, tol)
+            probes = np.vstack([v, w])
+            for d, got in zip(probes, mu._weights_at(probes)):
+                assert got == _weight_at_pairwise(mu, d, tol)
             assert measure_max_discrepancy(mu, other) == _max_discrepancy_pairwise(mu, other, tol)
             # the sums run in another order
             assert measure_l1(mu, other) == pytest.approx(_l1_pairwise(mu, other, tol),
                                                           rel=1e-15, abs=0.0)
-        moved = abs(a.weight_at(w[len(shared)]) - a.weights[k])
+        moved = abs(a._weights_at(w[len(shared)][None, :])[0] - a.weights[k])
         assert (moved == 0.0) == (factor < 1.0)
 
 

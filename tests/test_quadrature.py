@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from dualcurve import (GeometryError, sphere_area, sphere_rule,
-                       spherical_polygon_rule, unit_ball_volume)
+from dualcurve import GeometryError, sphere_rule, spherical_polygon_rule, unit_ball_volume
 from dualcurve.quadrature import _legendre
 
 from conftest import spherical_triangle_excess
@@ -19,21 +18,20 @@ def test_ball_volumes_and_sphere_areas():
     assert unit_ball_volume(2) == pytest.approx(PI, rel=1e-15)
     assert unit_ball_volume(3) == pytest.approx(4 * PI / 3, rel=1e-15)
     assert unit_ball_volume(4) == pytest.approx(PI**2 / 2, rel=1e-15)
-    assert sphere_area(2) == pytest.approx(2 * PI, rel=1e-15)
-    assert sphere_area(3) == pytest.approx(4 * PI, rel=1e-15)
-    # n omega_n = surface area
-    for n in (2, 3, 4, 5):
-        assert sphere_area(n) == pytest.approx(n * unit_ball_volume(n), rel=1e-14)
+    # n omega_n = surface area of the unit sphere in R^n
+    for n, area in ((2, 2 * PI), (3, 4 * PI), (4, 2 * PI**2), (5, 8 * PI**2 / 3)):
+        assert n * unit_ball_volume(n) == pytest.approx(area, rel=1e-15)
 
 
 @pytest.mark.parametrize("n,level,tol", [(2, 6, 1e-5), (3, 5, 1e-5)])
 def test_sphere_rule_constant_and_moments(n, level, tol):
     rule = sphere_rule(n, level)
-    assert rule.weights.sum() == pytest.approx(sphere_area(n), rel=1e-6)
+    area = n * unit_ball_volume(n)
+    assert rule.weights.sum() == pytest.approx(area, rel=1e-6)
     # second moment: int u_i^2 = area / n
     for i in range(n):
         got = float(rule.weights @ rule.nodes[:, i] ** 2)
-        assert got == pytest.approx(sphere_area(n) / n, rel=tol)
+        assert got == pytest.approx(area / n, rel=tol)
 
 
 def test_sphere_rule_quartic_moment_3d():

@@ -216,6 +216,62 @@ def test_subspace_mass_matches_reference_in_the_plane_and_on_axes(q):
         _same_feasibility(check_subspace_mass(mu, q), _subspace_mass_reference(mu, q))
 
 
+def _random_even_measure(seed, dim, pairs):
+    r = np.random.default_rng(seed)
+    reps = r.normal(size=(pairs, dim))
+    reps /= np.linalg.norm(reps, axis=1, keepdims=True)
+    w = r.uniform(0.2, 2.0, size=pairs)
+    return DiscreteSphericalMeasure(np.vstack([reps, -reps]), np.concatenate([w, w]))
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 2.5, 3.0])
+def test_subspace_mass_matches_reference_with_many_atoms(q):
+    # 32-48 atoms, as the solver sees them on wide data: random directions,
+    # and great circles that put many atoms on one plane
+    for seed, pairs in ((0, 16), (1, 24)):
+        mu = _random_even_measure(seed, 3, pairs)
+        _same_feasibility(check_subspace_mass(mu, q), _subspace_mass_reference(mu, q))
+    mu = _great_circle_measure(2, 6, 10, 2)
+    assert 32 <= len(mu) <= 48
+    _same_feasibility(check_subspace_mass(mu, q), _subspace_mass_reference(mu, q))
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+def test_subspace_mass_refuses_atoms_on_one_great_circle(q):
+    mu = _great_circle_measure(5, 6, 0, 1)
+    got = check_subspace_mass(mu, q)
+    _same_feasibility(got, _subspace_mass_reference(mu, q))
+    assert not got.feasible
+    assert got.ratio == pytest.approx(1.0) and len(got.worst) == 2
+
+
+@pytest.mark.parametrize("tilt,counted", [(1e-7, False), (1e-11, True)])
+def test_subspace_mass_counts_an_atom_off_a_plane_only_within_same_direction(tilt, counted):
+    # e1, e2 and u at angle 0.3 between them, tilted out of their plane;
+    # in that plane u would make it the worst subspace (mass 10/11, bound
+    # 3/4 at q = 2), outside it the line through u is (6/11, bound 1/2)
+    u = [math.cos(0.3) * math.cos(tilt), math.sin(0.3) * math.cos(tilt), math.sin(tilt)]
+    reps = np.array([[1.0, 0, 0], [0, 1.0, 0], u, [0, 0, 1.0]])
+    w = np.array([1.0, 1.0, 3.0, 0.5])
+    mu = DiscreteSphericalMeasure(np.vstack([reps, -reps]), np.concatenate([w, w]))
+    got = check_subspace_mass(mu, 2.0)
+    _same_feasibility(got, _subspace_mass_reference(mu, 2.0))
+    assert not got.feasible
+    if counted:
+        assert len(got.worst) == 2 and got.ratio == pytest.approx(10 / 11)
+        np.testing.assert_allclose(np.abs(got.worst @ [0, 0, 1.0]), 0.0, atol=1e-15)
+    else:
+        assert len(got.worst) == 1 and got.ratio == pytest.approx(6 / 11)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0])
+def test_subspace_mass_matches_reference_on_lines_in_the_plane(q):
+    # in 2-d the hyperplanes are the lines through the atoms
+    for seed in range(3):
+        mu = _random_even_measure(seed, 2, 7)
+        _same_feasibility(check_subspace_mass(mu, q), _subspace_mass_reference(mu, q))
+
+
 @pytest.mark.parametrize("shape,q", [((3, 4, 2, 2), 2.0), ((3, 5, 1, 1), 2.0)])
 def test_check_smi_payload_matches_reference(tmp_path, shape, q):
     # feasible, and infeasible with most mass on one great circle
@@ -367,9 +423,19 @@ def test_criterion_8_measures_converge_in_few_newton_iterations():
         assert rep.iterations <= 30, (mu, q, rep)
         assert rep.newton_steps + rep.fallback_steps == rep.iterations
         assert len(rep.direction_trace) == len(rep.step_trace) == rep.iterations
-        assert rep.evaluations == rep.iterations + rep.rejected_trials + 2
+        assert rep.evaluations == rep.iterations + rep.rejected_trials + 1
         count += 1
     assert count == 140
+
+
+def test_reported_residual_is_the_rescaled_bodys():
+    # the solver reads the residual off its last iterate, as the atoms are
+    # homogeneous of degree q; the rescaled body's atoms, computed afresh,
+    # must give the same L1 mismatch
+    for mu, q in _criterion_8_measures():
+        rep = solve_dual_minkowski(mu, SolverConfig(q=q, tol=1e-4))
+        fresh = float(np.abs(_atoms(rep.body, q) - mu.weights).sum()) / mu.total
+        assert abs(rep.residual - fresh) <= 1e-12, (mu, q, rep)
 
 
 def test_empty_facet_mid_solve_takes_the_fallback(monkeypatch):
@@ -477,9 +543,9 @@ def test_line_search_stalls_below_phi_rounding():
     assert (np.diff(rep.phi_trace) >= 0.0).all()
     assert rep.step_trace[-1] == 0.0 and 0.0 not in rep.step_trace[:-1]
     assert len(rep.phi_trace) == rep.iterations
-    # the start, every trial and the rescaled result, with no accepted
-    # trial in the last iteration (a converged solve has one more)
-    assert rep.evaluations == rep.iterations + rep.rejected_trials + 1
+    # the start and every trial, with no accepted trial in the last
+    # iteration (a converged solve has one more)
+    assert rep.evaluations == rep.iterations + rep.rejected_trials + 0
     assert rep.residual < 1e-12
 
 
