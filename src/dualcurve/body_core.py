@@ -18,6 +18,7 @@ facets, not with the number of n-subsets of halfspaces or points.
 
 import copy
 import functools
+from operator import attrgetter
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -53,6 +54,7 @@ def direction_pairs(dirs):
     across = (a < m) & (b >= m)
     j = np.full(m, -1)
     j[a[across]] = b[across] - m
+    j.flags.writeable = False
     return not across.all(), None if (j < 0).any() else j
 
 
@@ -69,19 +71,31 @@ def match_directions(a, b):
     return j
 
 
-def unit_rows(v, what):
-    """Validate a matrix of unit row vectors and pair them once.
+class DirectionSet:
+    """Read-only, pairwise distinct unit directions in R^2 or R^3: rows, an
+    (m, n) array, antipode (the row of -v for each row v, or None) and dim.
+    A body, its measures and the solver's iterates share one; only this
+    constructor validates and pairs the rows, after as_direction, refusing
+    another dimension or two rows within SAME_DIRECTION with GeometryError."""
 
-    The rows pass as_direction; returns them read-only with direction_pairs
-    of them: whether two rows are the same direction, and the antipode
-    index (or None).
-    """
-    rows = np.atleast_2d(np.asarray(v, float))
-    if rows.ndim != 2:
-        raise GeometryError(f"{what} must be a matrix of row vectors")
-    rows = as_direction(rows, what)
-    rows.flags.writeable = False
-    return (rows, *direction_pairs(rows))
+    __slots__ = ("rows", "antipode", "dim")
+
+    def __init__(self, v, what):
+        rows = np.atleast_2d(np.asarray(v, float))
+        if rows.ndim != 2:
+            raise GeometryError(f"{what} must be a matrix of row vectors")
+        rows = as_direction(rows, what)
+        rows.flags.writeable = False
+        require_dim(rows.shape[1])
+        close, self.antipode = direction_pairs(rows)
+        if close:
+            raise GeometryError(f"{what} must be pairwise distinct")
+        self.rows, self.dim = rows, rows.shape[1]
+
+    def is_even(self, values, slack):
+        """Whether values (one per row) agree on each antipodal pair within slack."""
+        j = self.antipode
+        return j is not None and bool((np.abs(values[j] - values) <= slack).all())
 
 
 def unit(v):
@@ -252,15 +266,15 @@ class _Polytope(_Body):
 class HPolytope(_Polytope):
     """Intersection of halfspaces {x : x.v_i <= h_i} with unit normals v_i.
 
-    Immutable after construction.  Vertices, facet incidence, edges, areas
-    and activity flags come lazily from one Qhull hull of the polar points
-    v_i/h_i.  Halfspaces whose facet is empty are kept and flagged inactive
-    rather than dropped.  Repeated normals are refused, and the hull is
-    built at once, so an unbounded body is refused at construction
-    (with_offsets builds its hull on first use).  antipode[i] is the index
-    of the normal -v_i (None when some normal has no mirror); with_offsets
-    shares it, as the normals do not change.  symmetric is read off the
-    offsets: every antipodal pair has equal offsets within 1e-9.
+    Immutable after construction.  The normals are one DirectionSet,
+    directions, built from an array as the "facet normals" (repeated
+    normals are refused) or taken as given; normals and antipode read
+    through to it, and with_offsets and scale share it.  Vertices, facet
+    incidence, edges, areas and activity flags come lazily from one Qhull
+    hull of the polar points v_i/h_i; halfspaces with an empty facet are
+    kept and flagged inactive.  The hull is built at once, so an unbounded
+    body is refused at construction (with_offsets builds it on first use).
+    symmetric: every antipodal pair has equal offsets within 1e-9.
 
     Everything derived from the offsets lives in one memo, filled on first
     use by _memoized: the polar hull, the facet areas, and in measures the
@@ -272,14 +286,14 @@ class HPolytope(_Polytope):
     """
 
     def __init__(self, normals, offsets):
-        normals, close, self.antipode = unit_rows(normals, "facet normals")
-        require_dim(normals.shape[1])
-        if close:
-            raise GeometryError("directions must be pairwise distinct")
-        self.dim = normals.shape[1]
-        self.normals = normals
+        self.directions = (normals if isinstance(normals, DirectionSet)
+                           else DirectionSet(normals, "facet normals"))
+        self.dim = self.directions.dim
         self._set_offsets(offsets)
         self._polar  # builds the hull, which refuses an unbounded body
+
+    normals = property(attrgetter("directions.rows"))
+    antipode = property(attrgetter("directions.antipode"))
 
     def _set_offsets(self, offsets):
         offsets = np.asarray(offsets, float).copy()
@@ -287,9 +301,7 @@ class HPolytope(_Polytope):
             raise GeometryError("normals and offsets disagree in length")
         if (offsets <= 0).any():
             raise GeometryError("offsets must be strictly positive (origin interior)")
-        j = self.antipode
-        self.symmetric = j is not None and bool(
-            (np.abs(offsets[j] - offsets) <= 1e-9 * np.maximum(1.0, offsets)).all())
+        self.symmetric = self.directions.is_even(offsets, 1e-9 * np.maximum(1.0, offsets))
         self.offsets = offsets
         offsets.flags.writeable = False
         # a fresh dict, never a cleared one: with_offsets copies the body,
@@ -372,8 +384,7 @@ class HPolytope(_Polytope):
         return self.with_offsets(self.offsets * lam)
 
     def with_offsets(self, offsets):
-        """Same normal set and antipode index, new offsets; the symmetry test
-        is one offset comparison per halfspace."""
+        """The same direction set under new offsets, with an empty memo."""
         body = copy.copy(self)
         body._set_offsets(offsets)
         return body
@@ -557,7 +568,7 @@ def polar(body):
 
 def wulff_shape(dirs, h):
     """Intersection of {x.v <= h(v)} over the direction list."""
-    return HPolytope(np.atleast_2d(np.asarray(dirs, float)), np.asarray(h, float))
+    return HPolytope(dirs, h)
 
 
 def convex_hull_of_radial(dirs, rho):

@@ -34,12 +34,12 @@ array) are kept in the same memo.
 
 import functools
 import math
+from operator import attrgetter
 
 import numpy as np
 
-from .body_core import (GeometryError, HPolytope, SmoothBody, VPolytope,
-                        as_direction, cross, match_directions, require_dim,
-                        unit_rows)
+from .body_core import (DirectionSet, GeometryError, HPolytope, SmoothBody,
+                        VPolytope, as_direction, cross, match_directions)
 from .gauss_maps import cone_partition, fan_rows
 from .quadrature import (ROW_BLOCK, _panel_counts, panel_rule, sphere_rule,
                          spherical_polygon_rule)
@@ -50,28 +50,27 @@ SMOOTH_LEVELS = {2: 10, 3: 6}
 class DiscreteSphericalMeasure:
     """Finite Borel measure on the sphere given by weighted unit-vector atoms.
 
-    antipode[i] is the index of the atom direction -dirs[i] (None when some
-    direction has no antipode).  even is read off the weights: every
-    antipodal pair has equal weights within 1e-9 of the largest (or of 1).
+    Its atom directions are one DirectionSet, directions, built from an
+    array as the "atom directions" or taken as given; dirs and antipode
+    read through to it, and scaled shares it.  even: every antipodal pair
+    has equal weights within 1e-9 of the largest (or of 1).
     """
 
     def __init__(self, dirs, weights):
         weights = np.asarray(weights, float).copy()
-        dirs, close, self.antipode = unit_rows(dirs, "atom directions")
-        require_dim(dirs.shape[1])
-        if len(dirs) != len(weights):
+        self.directions = (dirs if isinstance(dirs, DirectionSet)
+                           else DirectionSet(dirs, "atom directions"))
+        if len(self.dirs) != len(weights):
             raise GeometryError("atom directions and weights disagree in length")
         if not (np.isfinite(weights) & (weights >= 0)).all():
             raise GeometryError("weights must be finite and nonnegative")
-        if close:
-            raise GeometryError("atom directions must be pairwise distinct")
-        j = self.antipode
-        scale = float(weights.max(initial=1.0))
-        self.even = j is not None and bool((np.abs(weights[j] - weights) <= 1e-9 * scale).all())
-        self.dim = dirs.shape[1]
-        self.dirs = dirs
+        self.even = self.directions.is_even(weights, 1e-9 * float(weights.max(initial=1.0)))
+        self.dim = self.directions.dim
         self.weights = weights
         weights.flags.writeable = False
+
+    dirs = property(attrgetter("directions.rows"))
+    antipode = property(attrgetter("directions.antipode"))
 
     @property
     def total(self):
@@ -84,7 +83,7 @@ class DiscreteSphericalMeasure:
         return np.append(self.weights, 0.0)[match_directions(dirs, self.dirs)]
 
     def scaled(self, c):
-        return DiscreteSphericalMeasure(self.dirs, self.weights * c)
+        return DiscreteSphericalMeasure(self.directions, self.weights * c)
 
     def to_dict(self):
         return {
@@ -318,7 +317,7 @@ def _facet_measure(P, atoms):
     """
     if P.symmetric:
         atoms = 0.5 * (atoms + atoms[P.antipode])
-    return DiscreteSphericalMeasure(P.normals, atoms)
+    return DiscreteSphericalMeasure(P.directions, atoms)
 
 
 def dual_curvature(P, q):
@@ -348,20 +347,20 @@ def cone_volume_measure(P):
     """Atom i is the volume of the cone over facet i: h_i area_i / n."""
     P = _require_hpolytope(P)
     atoms = P.offsets * P.facet_areas / P.dim
-    return DiscreteSphericalMeasure(P.normals, atoms)
+    return DiscreteSphericalMeasure(P.directions, atoms)
 
 
 def surface_area_measure(P):
     """Atom i is the facet's (n-1)-dimensional area."""
     P = _require_hpolytope(P)
-    return DiscreteSphericalMeasure(P.normals, P.facet_areas)
+    return DiscreteSphericalMeasure(P.directions, P.facet_areas)
 
 
 def lp_surface_area_measure(P, p):
     """Atom i is h_i^(1-p) area_i; p=1 is surface area, p=0 is n times cone volume."""
     P = _require_hpolytope(P)
     atoms = P.offsets ** (1.0 - p) * P.facet_areas
-    return DiscreteSphericalMeasure(P.normals, atoms)
+    return DiscreteSphericalMeasure(P.directions, atoms)
 
 
 # -- sphere-side integrals -------------------------------------------------

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .body_core import SAME_DIRECTION, GeometryError, HPolytope, cross, wulff_shape
+from .body_core import SAME_DIRECTION, GeometryError, HPolytope, cross
 from .measures import (DiscreteSphericalMeasure, _atom_jacobian, _atoms,
                        dual_quermassintegral)
 from .quadrature import unit_ball_volume
@@ -130,15 +130,16 @@ class SolverReport:
 def check_subspace_mass(mu, q):
     """Strict subspace mass bounds for even measures and q in (0, n].
 
-    For q in [1, n] every proper subspace of dimension d may hold at most
+    For q in (1, n] every proper subspace of dimension d may hold at most
     (strictly less than) 1 - (n-d)/((n-1) q') of the total mass, where
-    q' = q/(q-1); for q in (0, 1) only full concentration on a proper
-    subspace is excluded.  The supremum over subspaces is attained on
-    spans of atom directions, so subsets of size <= n-1 of the antipodal
-    pairs are enumerated exhaustively.  A hyperplane is tested through its
-    normal N (a x b in 3-d, a turned by 90 degrees in 2-d): atom v lies in
-    it when |N . v| <= SAME_DIRECTION |N|, and a pair with |N| <= 1e-10
-    spans no hyperplane.  A line through a in 3-d holds v when
+    q' = q/(q-1); for q in (0, 1] the bound is 1, so only concentration on
+    a proper subspace, a line as much as a hyperplane, is excluded.  The
+    supremum over subspaces is attained on spans of atom directions, so
+    subsets of size <= n-1 of the antipodal pairs are enumerated
+    exhaustively.  A hyperplane is tested through its normal N (a x b in
+    3-d, a turned by 90 degrees in 2-d): atom v lies in it when
+    |N . v| <= SAME_DIRECTION |N|, and a pair with |N| <= 1e-10 spans no
+    hyperplane.  A line through a in 3-d holds v when
     |a x v| <= SAME_DIRECTION.  Each subspace's mass is summed atom by
     atom, in order, so near-ties resolve as one membership test per atom
     would; only the worst subspace gets an orthonormal basis (one QR).
@@ -157,8 +158,6 @@ def check_subspace_mass(mu, q):
     worst = FeasibilityResult(True, 0.0, 1.0, None)
     for d in range(1, n):
         bound = _mass_bound(n, d, q)
-        if math.isinf(bound):
-            continue
         subsets = np.array(list(itertools.combinations(reps, d)), dtype=int).reshape(-1, d)
         mass, spans = _span_masses(mu, subsets)
         if not spans.any():
@@ -194,10 +193,8 @@ def _span_masses(mu, subsets):
 
 
 def _mass_bound(n, d, q):
-    if q < 1.0:
-        # only hyperplane concentration is excluded below q = 1
-        return 1.0 if d == n - 1 else math.inf
-    if q == 1.0:
+    if q <= 1.0:
+        # up to q = 1 only concentration on a proper subspace is excluded
         return 1.0
     qp = q / (q - 1.0)
     return 1.0 - (n - d) / ((n - 1.0) * qp)
@@ -232,7 +229,7 @@ def _as_wulff_on(K, mu):
         d = np.linalg.norm(K.normals - mu.dirs, axis=1)
         if (d <= SAME_DIRECTION).all():
             return K
-    return wulff_shape(mu.dirs, K.support(mu.dirs))
+    return HPolytope(mu.directions, K.support(mu.dirs))
 
 
 def _newton_direction(body, q, atoms, grad):
@@ -273,22 +270,14 @@ def solve_dual_minkowski(mu, cfg):
     normalized by |mu|).  Infeasible data short-circuits with
     feasible=False and no iterations.
     """
-    if not isinstance(cfg, SolverConfig):
-        cfg = SolverConfig(q=float(cfg))
     q = cfg.q
-    n = mu.dim
-    if q > n:
-        raise GeometryError("q must lie in (0, n]")
-    feas = check_subspace_mass(mu, q)
-    if not feas.feasible:
+    if not check_subspace_mass(mu, q).feasible:
         return SolverReport(None, math.inf, INFEASIBLE)
 
-    dirs = mu.dirs
     total = mu.total
     gamma = mu.weights
-    omega = unit_ball_volume(n)
-
-    base = wulff_shape(dirs, np.ones(len(dirs)))
+    omega = unit_ball_volume(mu.dim)
+    base = HPolytope(mu.directions, np.ones(len(mu)))
 
     def phi_from_atoms(x_full, atoms):
         w = float(atoms.sum())
@@ -297,7 +286,7 @@ def solve_dual_minkowski(mu, cfg):
         return float(-(gamma @ x_full) / total + (math.log(w) - math.log(omega)) / q)
 
     # the ascent starts at the unit offsets, x = log h = 0
-    x = np.zeros(len(dirs))
+    x = np.zeros(len(mu))
     body = base
     atoms = _atoms(body, q)
     phi = phi_from_atoms(x, atoms)

@@ -183,6 +183,17 @@ def test_check_smi(runner, tmp_path):
     assert data["worst_subspace_dim"] == 1
 
 
+def test_one_antipodal_pair_in_r3_is_infeasible(runner, tmp_path):
+    mu = DiscreteSphericalMeasure(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
+    path = _write(tmp_path, "line.json", mu.to_dict())
+    res = runner.invoke(main, ["check-smi", path, "--q", "0.5"])
+    assert res.exit_code == 3
+    data = json.loads(res.output)
+    assert data["feasible"] is False and data["worst_subspace_dim"] == 1
+    res = runner.invoke(main, ["solve", path, "--q", "0.5"])
+    assert res.exit_code == 3
+
+
 def test_verify_identities(runner, tmp_path):
     res = runner.invoke(main, ["verify", _cube_body(tmp_path), "--suite", "identities"])
     assert res.exit_code == 0, res.output

@@ -247,6 +247,49 @@ def test_surface_area_and_lp_measures():
     np.testing.assert_allclose(lp2.weights, 16.0 / 2.0, rtol=1e-12)
 
 
+def _verify_op_measures(P):
+    """The seven measures the verify benchmark op takes of a body."""
+    return ([dual_curvature(P, q) for q in (0.5, 1.0, 2.0, float(P.dim))]
+            + [dual_curvature_q0(P), cone_volume_measure(P), surface_area_measure(P)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_body_and_its_measures_hold_one_direction_set(dim):
+    P = random_symmetric_polytope(np.random.default_rng(dim), dim=dim, pairs=5)
+    for mu in _verify_op_measures(P) + [dual_curvature(P, 0.0), lp_surface_area_measure(P, 2.0)]:
+        assert mu.directions is P.directions
+        assert mu.scaled(3.0).directions is mu.directions
+    assert not (P.normals.flags.writeable or P.antipode.flags.writeable)
+    for body in (P.scale(2.0), P.with_offsets(P.offsets * 1.5)):
+        assert body.directions is P.directions
+        assert dual_curvature(body, 1.0).directions is P.directions
+
+
+@pytest.mark.parametrize("kind,dim", [("hpolytope", 3), ("vpolytope", 3), ("vpolytope", 2)])
+def test_a_body_and_its_measures_pair_the_directions_once(kind, dim, monkeypatch):
+    from dualcurve import body_core
+
+    rng = np.random.default_rng(dim)
+    if kind == "hpolytope":
+        shape = random_symmetric_polytope(rng, dim=dim, pairs=6)
+        make = lambda: HPolytope(np.array(shape.normals), shape.offsets)
+    else:
+        points = rng.normal(size=(14, dim))
+        make = lambda: VPolytope(points).to_hpolytope()
+    calls = []
+    pairs = body_core.direction_pairs
+
+    def counted(dirs):
+        calls.append(len(dirs))
+        return pairs(dirs)
+
+    monkeypatch.setattr(body_core, "direction_pairs", counted)
+    P = make()
+    assert len(calls) == 1
+    _verify_op_measures(P)
+    assert calls == [len(P.normals)]
+
+
 def test_homogeneity_of_dual_curvature(rng):
     p = random_symmetric_polytope(rng, pairs=5)
     lam = 1.7

@@ -120,7 +120,7 @@ def test_planar_equality_case_rejected():
 
 
 def test_hyperplane_mass_bound_q_below_one():
-    # below q = 1 only full hyperplane concentration is excluded
+    # below q = 1 only concentration on a proper subspace is excluded
     dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
                      [0, 0, 1.0], [0, 0, -1.0]])
     heavy = DiscreteSphericalMeasure(dirs[:4], np.ones(4))
@@ -459,6 +459,29 @@ def test_empty_facet_mid_solve_takes_the_fallback(monkeypatch):
     assert [d == "fallback" for d in rep.direction_trace] == empty
     assert (np.diff(rep.phi_trace) >= -1e-12).all()
     assert rep.residual <= 1e-5
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("pairs,worst_dim", [(1, 1), (2, 2)])
+def test_data_on_a_proper_subspace_of_r3_is_infeasible(pairs, worst_dim, q):
+    # at every q in (0, n] a measure on a proper subspace is excluded; the
+    # solver reports it instead of raising from an unbounded start body
+    dirs = np.vstack([np.eye(3)[:pairs], -np.eye(3)[:pairs]])
+    mu = DiscreteSphericalMeasure(dirs, np.ones(2 * pairs))
+    feas = check_subspace_mass(mu, q)
+    assert not feas.feasible and feas.ratio == 1.0
+    assert len(feas.worst) == worst_dim
+    _same_feasibility(feas, _subspace_mass_reference(mu, q))
+    rep = solve_dual_minkowski(mu, SolverConfig(q=q))
+    assert rep.stop_reason == "infeasible" and rep.body is None
+
+
+def test_the_solution_holds_the_measures_direction_set(rng):
+    _, mu = _feasible_instance(rng, 2.0, pairs=4)
+    rep = solve_dual_minkowski(mu, SolverConfig(q=2.0))
+    assert rep.converged
+    assert rep.body.directions is mu.directions
+    assert dual_curvature(rep.body, 2.0).directions is mu.directions
 
 
 def test_stop_reasons():
