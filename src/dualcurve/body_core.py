@@ -14,6 +14,12 @@ A VPolytope takes the hull of its points: the hull's vertices are its
 irredundant vertex list and the hull's facets its halfspaces.  Coplanar
 pieces of one hull facet are merged, so the cost grows with the number of
 facets, not with the number of n-subsets of halfspaces or points.
+
+Qhull is the only source of a lattice.  A body whose offsets move from
+another's on the same normals (the solver's line-search trials) may take
+that body's lattice with its vertices solved again from their n facets,
+but only while a certificate shows that Qhull would find the same lattice
+(_PolarHull.moved); otherwise it builds its own hull.
 """
 
 import copy
@@ -221,6 +227,54 @@ class _PolarHull:
         self.fac, self.ver = fac[self.full[fac]], ver[self.full[fac]]
         self.hull = hull
 
+    def moved(self, normals, offsets):
+        """This lattice under new offsets, with every vertex solved again
+        from its n facets, or None unless a certificate shows that Qhull
+        would find the same lattice.
+
+        On a body with no merged simplices each vertex is the basis of the n
+        halfspaces of its simplex: x solves v_j . x = h_j on them, in closed
+        form (h0 (v1 x v2) + h1 (v2 x v0) + h2 (v0 x v1) over det[v0, v1, v2]
+        in 3-d, the same 2x2 form in 2-d).  The certificate is the simplex
+        method's feasible-basis test: every solved vertex keeps slack
+        h_j - x . v_j > MERGE_TOL * max(1, max h) on every halfspace outside
+        its simplex.  Then each edge of the lattice still joins two solved
+        vertices and meets no other plane, so the new body has exactly these
+        vertices and this incidence; neighbouring vertices lie more than
+        MERGE_TOL apart, so the merge sweep would merge nothing, and inactive
+        halfspaces stay inactive.  Non-finite or non-positive offsets, a
+        failed certificate and a failed interior test of _qhull give None.
+        The copy shares labels, incidence, the Qhull hull and its edges.
+        """
+        simplices = self.hull.simplices
+        if len(self.vertices) != len(simplices) or not ((offsets > 0) & (offsets < np.inf)).all():
+            return None
+        v, h = normals[simplices], offsets[simplices]
+        if normals.shape[1] == 2:
+            a, b = v[:, 0], v[:, 1]
+            det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+            # (h0 perp(b) - h1 perp(a)) with perp(w) = (w1, -w0)
+            x = (h[:, :1] * b[:, ::-1] - h[:, 1:] * a[:, ::-1]) * [1.0, -1.0]
+        else:
+            a, b, c = v[:, 0], v[:, 1], v[:, 2]
+            bc = cross(b, c)
+            det = np.einsum("kj,kj->k", a, bc)
+            x = h[:, :1] * bc + h[:, 1:2] * cross(c, a) + h[:, 2:] * cross(a, b)
+        x /= det[:, None]
+        slack = offsets - x @ normals.T
+        slack[np.arange(len(x))[:, None], simplices] = np.inf
+        if not slack.min() > MERGE_TOL * max(1.0, float(np.max(offsets))):
+            return None
+        # _qhull's interior test: the polar hull's facet planes x . y = 1
+        # lie 1 / |x| from the origin
+        if not 1.0 / np.linalg.norm(x, axis=1).max() > INTERIOR_TOL * np.abs(
+                normals / offsets[:, None]).max():
+            return None
+        moved = copy.copy(self)
+        moved.vertices = x
+        x.flags.writeable = False
+        return moved
+
     @functools.cached_property
     def edges(self):
         """Edges of a 3-d body as (facet, other facet, start, end) id arrays,
@@ -270,10 +324,13 @@ class HPolytope(_Polytope):
     directions, built from an array as the "facet normals" (repeated
     normals are refused) or taken as given; normals and antipode read
     through to it, and with_offsets and scale share it.  Vertices, facet
-    incidence, edges, areas and activity flags come lazily from one Qhull
-    hull of the polar points v_i/h_i; halfspaces with an empty facet are
-    kept and flagged inactive.  The hull is built at once, so an unbounded
-    body is refused at construction (with_offsets builds it on first use).
+    incidence, edges, areas and activity flags come lazily from the
+    lattice of the polar points v_i/h_i: their Qhull hull, or for a body
+    made by _moved the lattice of the body it moved from, with vertices
+    solved again, when _PolarHull.moved certifies that Qhull would find
+    it.  Halfspaces with an empty facet are kept and flagged inactive.  The
+    hull is built at once, so an unbounded body is refused at construction
+    (with_offsets builds it on first use).
     symmetric: every antipodal pair has equal offsets within 1e-9.
 
     Everything derived from the offsets lives in one memo, filled on first
@@ -387,6 +444,17 @@ class HPolytope(_Polytope):
         """The same direction set under new offsets, with an empty memo."""
         body = copy.copy(self)
         body._set_offsets(offsets)
+        return body
+
+    def _moved(self, offsets):
+        """with_offsets(offsets) holding this body's lattice with its
+        vertices solved again whenever _PolarHull.moved certifies that Qhull
+        would find that lattice; else the body builds its own hull on first
+        use, as with_offsets would."""
+        body = self.with_offsets(offsets)
+        polar = self._polar.moved(self.normals, body.offsets)
+        if polar is not None:
+            body._memo["polar"] = polar
         return body
 
     # -- io ----------------------------------------------------------------

@@ -144,6 +144,7 @@ def solve(measure_path, q, tol, max_iter, out, trace):
         "stop_reason": report.stop_reason,
         "iterations": report.iterations,
         "evaluations": report.evaluations,
+        "hull_builds": report.hull_builds,
         "residual": report.residual,
         "phi": report.phi_trace[-1] if report.phi_trace else None,
     }

@@ -18,6 +18,10 @@ back.  A solve evaluates the atoms of the start and of one body per
 line-search trial, and nothing more: the functional is scale invariant,
 and the maximizer is rescaled at the end so the measure totals match,
 with the last iterate's residual, as the atoms are homogeneous of degree q.
+The start body builds a Qhull hull; a trial takes the lattice of the
+iterate it steps from, with its vertices solved again, whenever
+body_core._PolarHull.moved certifies that Qhull would find that lattice,
+and builds its own hull otherwise (SolverReport.hull_builds counts both).
 """
 
 import itertools
@@ -98,13 +102,16 @@ class SolverReport:
     residual at each iterate, phi_trace Phi at each accepted iterate, and
     step_trace the step length of each iteration (0 for a stalled one).
     evaluations counts atom evaluations (the start and every line-search
-    trial), rejected_trials the trials the Armijo test refused.  residual
+    trial), rejected_trials the trials the Armijo test refused, and
+    hull_builds the Qhull hulls the solve built: the start body's and one
+    for each trial whose lattice certificate failed.  residual
     is the last iterate's residual_trace entry: the atoms are homogeneous
     of degree q, so rescaling the body leaves it as it is.
     """
 
     def __init__(self, body, residual, stop_reason, phi_trace=(), residual_trace=(),
-                 step_trace=(), direction_trace=(), evaluations=0, rejected_trials=0):
+                 step_trace=(), direction_trace=(), evaluations=0, rejected_trials=0,
+                 hull_builds=0):
         self.body = body
         self.residual = residual
         self.stop_reason = stop_reason
@@ -120,10 +127,12 @@ class SolverReport:
         self.fallback_steps = self.direction_trace.count("fallback")
         self.evaluations = evaluations
         self.rejected_trials = rejected_trials
+        self.hull_builds = hull_builds
 
     def __repr__(self):
         return (f"SolverReport(stop_reason={self.stop_reason!r}, "
                 f"iterations={self.iterations}, evaluations={self.evaluations}, "
+                f"hull_builds={self.hull_builds}, "
                 f"residual={self.residual!r})")
 
 
@@ -277,7 +286,7 @@ def solve_dual_minkowski(mu, cfg):
     total = mu.total
     gamma = mu.weights
     omega = unit_ball_volume(mu.dim)
-    base = HPolytope(mu.directions, np.ones(len(mu)))
+    body = HPolytope(mu.directions, np.ones(len(mu)))
 
     def phi_from_atoms(x_full, atoms):
         w = float(atoms.sum())
@@ -287,7 +296,6 @@ def solve_dual_minkowski(mu, cfg):
 
     # the ascent starts at the unit offsets, x = log h = 0
     x = np.zeros(len(mu))
-    body = base
     atoms = _atoms(body, q)
     phi = phi_from_atoms(x, atoms)
     phi_trace = [phi]
@@ -295,6 +303,7 @@ def solve_dual_minkowski(mu, cfg):
     step_trace = []
     direction_trace = []
     trials = 0
+    builds = 1  # the start body's hull
     last_step = STEP_INIT
     while True:
         grad = atoms / atoms.sum() - gamma / total
@@ -326,7 +335,10 @@ def solve_dual_minkowski(mu, cfg):
         while step > 1e-18:
             trials += 1
             x_new = x + step * d
-            body_new = base.with_offsets(np.exp(x_new))
+            # the trial takes the iterate's lattice when the certificate
+            # holds, else it builds its own hull in _atoms
+            body_new = body._moved(np.exp(x_new))
+            builds += "polar" not in body_new._memo
             try:
                 atoms_new = _atoms(body_new, q)
             except GeometryError:
@@ -356,4 +368,4 @@ def solve_dual_minkowski(mu, cfg):
     final = body.with_offsets(body.offsets * lam)
     return SolverReport(final, residual_trace[-1], stop_reason, phi_trace, residual_trace,
                         step_trace, direction_trace, evaluations=trials + 1,
-                        rejected_trials=trials - (len(phi_trace) - 1))
+                        rejected_trials=trials - (len(phi_trace) - 1), hull_builds=builds)

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcurve import (Ball, DiscreteSphericalMeasure, Ellipsoid,
-                       GeometryError, HPolytope, VPolytope, body_from_dict,
+                       GeometryError, HPolytope, SolverConfig, VPolytope, body_from_dict,
                        convex_hull_of_radial, dual_curvature, polar,
-                       sphere_rule, wulff_polar_identity_check, wulff_shape)
+                       solve_dual_minkowski, sphere_rule, wulff_polar_identity_check,
+                       wulff_shape)
 from dualcurve.body_core import (SAME_DIRECTION, SmoothBody, _hausdorff, _merge_points,
-                                 direction_pairs, match_directions)
+                                 _PolarHull, direction_pairs, match_directions)
 
-from conftest import axis_box, cube, random_symmetric_polytope
+from conftest import axis_box, cube, random_even_measure, random_symmetric_polytope
 
 SQRT2 = 1.4142135623730951
 
@@ -576,3 +577,95 @@ def test_hull_geometry_thin_boxes(seed, half, turned):
     assert len(p.vertices) == 8
     assert p.volume() == pytest.approx(8.0 * np.prod(half), rel=1e-14)
     _assert_q_n_atoms_are_cone_volumes(p)
+
+
+# -- trial bodies on an iterate's lattice ----------------------------------
+
+
+def _lattice(g):
+    """A polar hull's vertices keyed by their sorted facet n-tuples, and its
+    edges as (facet, other facet, the two end keys); 3-d only for edges."""
+    facets = {}
+    for f, x in zip(g.fac, g.ver):
+        facets.setdefault(int(x), []).append(int(f))
+    key = {x: tuple(sorted(fs)) for x, fs in facets.items()}
+    vertices = {key[x]: g.vertices[x] for x in key}
+    edges = set()
+    if g.vertices.shape[1] == 3:
+        edges = {(int(f), int(o), frozenset((key[int(a)], key[int(b)])))
+                 for f, o, a, b in zip(*g.edges)}
+    return vertices, edges
+
+
+def _solver_iterates(monkeypatch, mu, q):
+    """Every iterate a solve steps from, recorded as it builds its trials."""
+    iterates = []
+    moved = HPolytope._moved
+    monkeypatch.setattr(HPolytope, "_moved",
+                        lambda body, h: iterates.append(body) or moved(body, h))
+    solve_dual_minkowski(mu, SolverConfig(q=q))
+    monkeypatch.undo()
+    return list({id(b): b for b in iterates}.values())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_moved_lattice_agrees_with_a_fresh_hull(monkeypatch, rng, dim):
+    kept = 0
+    for pairs, q in ((3, 1.0), (5, 2.0), (6, 0.5)):
+        mu = random_even_measure(rng, dim=dim, pairs=pairs)
+        for body in _solver_iterates(monkeypatch, mu, q):
+            for size in 10.0 ** rng.uniform(-6, -1, size=6):
+                h = body.offsets * np.exp(size * rng.normal(size=len(body.offsets)))
+                got = body._polar.moved(body.normals, h)
+                if got is None:
+                    continue
+                kept += 1
+                want = _PolarHull(body.normals, h)
+                (gv, ge), (wv, we) = _lattice(got), _lattice(want)
+                assert gv.keys() == wv.keys() and ge == we
+                assert got.labels is body._polar.labels
+                assert np.array_equal(got.full, want.full)
+                extent = np.abs(want.vertices).max()
+                for k, x in wv.items():
+                    np.testing.assert_allclose(gv[k], x, rtol=0, atol=1e-13 * extent)
+    assert kept > 0
+
+
+def _cut_cube(c):
+    # the cube cut at its corner (1, 1, 1) by x + y + z <= c sqrt 3
+    normals = np.vstack([np.eye(3), -np.eye(3), np.ones(3) / math.sqrt(3)])
+    return normals, np.array([1.0] * 6 + [c])
+
+
+def test_moved_refuses_what_qhull_would_build_otherwise():
+    normals, h = _cut_cube(1.6)
+    g = HPolytope(normals, h)._polar
+    assert g.moved(normals, h * 1.001) is not None
+    # past the corner at sqrt 3 the cut's facet is empty
+    empty = h.copy()
+    empty[-1] = 1.8
+    assert not _PolarHull(normals, empty).full[-1]
+    assert g.moved(normals, empty) is None
+    # the cut's vertex (1, 1, 1 - 5e-10) lies within MERGE_TOL of z = 1
+    close = h.copy()
+    close[-1] = (3.0 - 5e-10) / math.sqrt(3)
+    assert g.moved(normals, close) is None
+    inf = h.copy()
+    inf[0] = np.inf
+    assert g.moved(normals, inf) is None
+    # four facets meet at each vertex of the octahedron: merged simplices
+    octa = np.array([[a, b, c] for a in (-1.0, 1) for b in (-1.0, 1) for c in (-1.0, 1)])
+    octa /= math.sqrt(3)
+    body = HPolytope(octa, np.ones(8))
+    assert len(body.vertices) < len(body._polar.hull.simplices)
+    assert body._polar.moved(octa, np.ones(8)) is None
+
+
+def test_moved_body_shares_the_lattice_only_under_the_certificate():
+    normals, h = _cut_cube(1.6)
+    body = HPolytope(normals, h)
+    near, far = body._moved(h * 1.01), body._moved(np.r_[h[:-1], 1.8])
+    assert near._memo["polar"].hull is body._polar.hull
+    assert "polar" not in far._memo and not far.active[-1]
+    np.testing.assert_allclose(near.vertices, 1.01 * body.vertices, rtol=1e-15, atol=1e-15)
+    assert near.offsets.tolist() == body.with_offsets(h * 1.01).offsets.tolist()

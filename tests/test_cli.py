@@ -133,6 +133,7 @@ def test_solve_summary_and_trace_name_each_direction(runner, tmp_path):
     assert summary["iterations"] >= 1
     # the start and one trial per iteration at least
     assert summary["evaluations"] >= summary["iterations"] + 1
+    assert 1 <= summary["hull_builds"] <= summary["evaluations"]
     with open(trace) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == summary["iterations"] + 1

@@ -12,12 +12,12 @@ from dualcurve import (DiscreteSphericalMeasure, GeometryError, HPolytope, Solve
                        VPolytope,
                        check_subspace_mass, dual_curvature, measure_l1,
                        phi_gradient, phi_mu, solve_dual_minkowski)
-from dualcurve import solver
+from dualcurve import body_core, solver
 from dualcurve.cli import _round_tree, main
 from dualcurve.measures import _atom_jacobian, _atoms
 from dualcurve.solver import FeasibilityResult, _mass_bound
 
-from conftest import cube, random_symmetric_polytope
+from conftest import cube, random_even_measure, random_symmetric_polytope
 
 
 def _measure_of(p, q):
@@ -552,6 +552,44 @@ def test_singular_jacobian_leaves_the_step_to_the_fallback(monkeypatch):
     assert solver._newton_direction(p, 1.0, atoms, grad) is None
 
 
+def _solve_problems(rng):
+    """The criterion-8 problems at their tol 1e-4, and feasible
+    random_even_measure draws at tol 1e-6 in 2-d and 3-d."""
+    for mu, q in _criterion_8_measures():
+        yield mu, SolverConfig(q=q, tol=1e-4)
+    for n in (2, 3):
+        for q in (0.5, 1.0, 2.0, float(n)):
+            mu = random_even_measure(rng, dim=n, pairs=int(rng.integers(3, 7)))
+            if check_subspace_mass(mu, q).feasible:
+                yield mu, SolverConfig(q=q)
+
+
+def test_trial_lattices_change_the_solves_by_rounding_only(monkeypatch, rng):
+    # trials on the iterate's lattice solve their vertices in closed form,
+    # where a fresh Qhull hull solves them from its facet planes
+    problems = list(_solve_problems(rng))
+    lattice = [solve_dual_minkowski(mu, cfg) for mu, cfg in problems]
+    monkeypatch.setattr(body_core._PolarHull, "moved", lambda *args: None)
+    for (mu, cfg), got in zip(problems, lattice):
+        want = solve_dual_minkowski(mu, cfg)
+        assert want.hull_builds == want.evaluations
+        assert got.stop_reason == want.stop_reason == "converged"
+        assert got.direction_trace == want.direction_trace
+        assert got.evaluations == want.evaluations
+        np.testing.assert_allclose(got.body.offsets, want.body.offsets, rtol=1e-10, atol=0)
+
+
+def test_hull_builds_count_the_qhull_calls(monkeypatch):
+    calls = []
+    hull = body_core.ConvexHull
+    monkeypatch.setattr(body_core, "ConvexHull", lambda *args: calls.append(1) or hull(*args))
+    mu = random_even_measure(np.random.default_rng(4), dim=3, pairs=12)
+    rep = solve_dual_minkowski(mu, SolverConfig(q=2.0))
+    assert rep.converged
+    assert rep.hull_builds == len(calls) < rep.evaluations
+    assert f"hull_builds={rep.hull_builds}" in repr(rep)
+
+
 def _lopsided_axes_measure():
     return DiscreteSphericalMeasure(np.vstack([np.eye(3), -np.eye(3)]),
                                     np.array([5.0, 1.0, 0.7, 5.0, 1.0, 0.7]))
@@ -582,5 +620,8 @@ def test_cli_solve_exits_4_on_a_stalled_line_search(tmp_path):
     summary = json.loads(res.stdout)
     assert summary["stop_reason"] == "line_search_stalled"
     rows = trace.read_text().splitlines()[1:]
-    assert len(rows) == summary["iterations"] == 7
+    # below Phi's rounding floor the count follows the atoms' rounding, so
+    # the CLI must agree with the API on the same measure and config
+    api = solve_dual_minkowski(_lopsided_axes_measure(), SolverConfig(q=1.0, tol=1e-16))
+    assert len(rows) == summary["iterations"] == api.iterations
     assert rows[-1].split(",")[3] == "0"
